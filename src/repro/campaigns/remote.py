@@ -90,6 +90,9 @@ __all__ = [
     "StoreUnreachableError",
     "StoreProtocolError",
     "record_content_hash",
+    "MAX_BODY_BYTES",
+    "RequestBodyError",
+    "read_json_body",
     "CampaignCoordinator",
     "HttpStore",
 ]
@@ -140,6 +143,51 @@ def record_content_hash(record: Dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:32]
 
 
+#: Largest request body either HTTP front reads (a unit record is
+#: kilobytes; this bounds what one request can make the server buffer).
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
+
+class RequestBodyError(ValueError):
+    """A POST body the server refuses, with the HTTP status to reply."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+def read_json_body(handler: BaseHTTPRequestHandler) -> Dict[str, Any]:
+    """Read and decode a request's JSON-object body (``{}`` if absent).
+
+    Shared by the coordinator and ``repro serve`` handlers.  Raises
+    :class:`RequestBodyError`: 400 for a malformed or negative
+    ``Content-Length`` or a body that is not a JSON object, 413 for a
+    length above :data:`MAX_BODY_BYTES`.  A bad length is refused
+    without reading the body, so the handler closes the connection
+    rather than parse the unread bytes as the next request.
+    """
+    try:
+        length = int(handler.headers.get("Content-Length", 0))
+    except ValueError:
+        length = -1
+    if length < 0:
+        handler.close_connection = True
+        raise RequestBodyError(400, "malformed Content-Length")
+    if length > MAX_BODY_BYTES:
+        handler.close_connection = True
+        raise RequestBodyError(
+            413, f"request body exceeds {MAX_BODY_BYTES} bytes"
+        )
+    raw = handler.rfile.read(length) if length else b"{}"
+    try:
+        payload = json.loads(raw.decode("utf-8"))
+    except ValueError:
+        raise RequestBodyError(400, "request body is not valid JSON") from None
+    if not isinstance(payload, dict):
+        raise RequestBodyError(400, "request body must be a JSON object")
+    return payload
+
+
 # --------------------------------------------------------------------------
 # Coordinator (server half)
 # --------------------------------------------------------------------------
@@ -157,6 +205,8 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -188,15 +238,10 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
         self._dispatch(None)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length) if length else b"{}"
         try:
-            payload = json.loads(raw.decode("utf-8"))
-        except ValueError:
-            self._reply(400, {"error": "request body is not valid JSON"})
-            return
-        if not isinstance(payload, dict):
-            self._reply(400, {"error": "request body must be a JSON object"})
+            payload = read_json_body(self)
+        except RequestBodyError as exc:
+            self._reply(exc.status, {"error": str(exc)})
             return
         self._dispatch(payload)
 

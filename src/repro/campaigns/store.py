@@ -43,6 +43,7 @@ import abc
 import json
 import os
 import sqlite3
+import threading
 import time
 import uuid
 from contextlib import contextmanager
@@ -318,8 +319,11 @@ class CampaignStore(abc.ABC):
     def get(self, unit_hash: str) -> Optional[UnitRecord]:
         """The stored record for one unit, or ``None``.
 
-        Backends override this with a point lookup where they can; the
-        pool calls it after every successful claim to close the
+        This default decodes the whole store per call, so every shipped
+        backend overrides it: ``sqlite``, ``shared`` and ``http`` with a
+        point lookup, ``jsonl`` with its handle's tail-following cache
+        (one ``stat`` plus a dict lookup).  The pool calls it after every
+        successful claim to close the
         finished-and-released race (a completing pool appends *before*
         releasing, so a freshly claimable unit either has a record or
         truly never ran).
@@ -380,6 +384,18 @@ class JsonlStore(CampaignStore):
     claim, so two pools sharing one JSONL file would duplicate work
     (use ``sqlite`` or ``shared`` for that).
 
+    Each handle follows the file's tail: it keeps the decoded records,
+    the byte offset just past the last complete line it consumed and
+    the file's ``(st_dev, st_ino)``, so :meth:`get` and :meth:`records`
+    cost one ``stat`` plus a dict lookup / copy and decode only lines
+    appended since the previous call.  A handle re-reads from byte 0
+    when the file is gone, has shrunk, has a new inode, or the byte
+    before its offset is no longer a newline (an in-place rewrite).
+    An unterminated last line is decoded while it is valid but never
+    consumed, so a torn write is re-read once it is completed.  The
+    cache holds every record in memory and is per handle; pickling
+    drops it, so pool workers receive only the path.
+
     Example::
 
         store = JsonlStore("campaigns/fig1-quick-s0.jsonl")
@@ -388,33 +404,114 @@ class JsonlStore(CampaignStore):
     """
 
     backend = "jsonl"
+    #: per-handle state that pickling drops (rebuilt by the receiver)
+    _CACHE_ATTRS = (
+        "_lock", "_records", "_offset", "_seen", "_identity", "_tail"
+    )
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        self._lock = threading.Lock()
+        self._forget()
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {
+            key: value
+            for key, value in self.__dict__.items()
+            if key not in self._CACHE_ATTRS
+        }
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+        self._forget()
+
+    def _forget(self) -> None:
+        self._records: Dict[str, UnitRecord] = {}
+        #: byte offset just past the last complete line consumed
+        self._offset = 0
+        #: bytes examined so far: ``_offset`` plus the unterminated tail
+        self._seen = 0
+        self._identity: Optional[tuple] = None
+        #: the decoded unterminated last line, if it is a valid record
+        self._tail: Optional[UnitRecord] = None
+
+    def _refresh(self) -> None:
+        """Catch up with the file (caller holds ``_lock``)."""
+        try:
+            st = os.stat(self.path)
+        except FileNotFoundError:
+            self._forget()
+            return
+        identity = (st.st_dev, st.st_ino)
+        if identity == self._identity and st.st_size == self._seen:
+            return
+        try:
+            handle = self.path.open("rb")
+        except FileNotFoundError:
+            self._forget()
+            return
+        with handle:
+            st = os.fstat(handle.fileno())
+            identity = (st.st_dev, st.st_ino)
+            if identity != self._identity:
+                self._forget()
+            elif self._offset:
+                # A shrunk or rewritten file fails this probe (past EOF
+                # it reads b""); an append never does.
+                handle.seek(self._offset - 1)
+                if handle.read(1) != b"\n":
+                    self._forget()
+            self._identity = identity
+            handle.seek(self._offset)
+            chunk = handle.read()
+        end = chunk.rfind(b"\n") + 1
+        for line in chunk[:end].split(b"\n"):
+            record = _decode_line(line)
+            if record is not None:
+                self._records[record.unit_hash] = record
+        self._tail = _decode_line(chunk[end:])
+        self._offset += end
+        self._seen = self._offset + len(chunk) - end
 
     def records(self) -> Dict[str, UnitRecord]:
-        records: Dict[str, UnitRecord] = {}
-        if not self.path.exists():
-            return records
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # crash-truncated tail; the unit re-runs
-                if not all(key in data for key in _REQUIRED_KEYS):
-                    continue
-                record = UnitRecord.from_dict(data)
-                records[record.unit_hash] = record
+        with self._lock:
+            self._refresh()
+            records = dict(self._records)
+            tail = self._tail
+        if tail is not None:
+            records[tail.unit_hash] = tail
         return records
+
+    def get(self, unit_hash: str) -> Optional[UnitRecord]:
+        with self._lock:
+            self._refresh()
+            tail = self._tail
+            if tail is not None and tail.unit_hash == unit_hash:
+                return tail
+            return self._records.get(unit_hash)
 
     def append(self, record: UnitRecord) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a", encoding="utf-8") as handle:
             handle.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+
+
+def _decode_line(line: bytes) -> Optional[UnitRecord]:
+    """One JSONL line as a record, or ``None`` if blank, corrupt (a
+    crash-truncated write; the unit re-runs) or missing a key."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        data = json.loads(line)
+    except ValueError:
+        return None
+    if not isinstance(data, dict):
+        return None
+    if not all(key in data for key in _REQUIRED_KEYS):
+        return None
+    return UnitRecord.from_dict(data)
 
 
 #: Backwards-compatible name: the original store class was ``ResultStore``.

@@ -27,6 +27,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 from urllib.parse import parse_qs, urlsplit
 
+from repro.campaigns.remote import RequestBodyError, read_json_body
 from repro.service.estimator import (
     DEFAULT_SERVICE_PORT,
     EstimatorService,
@@ -52,6 +53,8 @@ class _EstimatorHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -91,15 +94,10 @@ class _EstimatorHandler(BaseHTTPRequestHandler):
         self._dispatch(None)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length) if length else b"{}"
         try:
-            payload = json.loads(raw.decode("utf-8"))
-        except ValueError:
-            self._reply(400, {"error": "request body is not valid JSON"})
-            return
-        if not isinstance(payload, dict):
-            self._reply(400, {"error": "request body must be a JSON object"})
+            payload = read_json_body(self)
+        except RequestBodyError as exc:
+            self._reply(exc.status, {"error": str(exc)})
             return
         self._dispatch(payload)
 

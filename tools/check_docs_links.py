@@ -1,12 +1,12 @@
 #!/usr/bin/env python
 """Check that relative links in the repo's markdown docs resolve.
 
-Scans ``README.md`` and ``docs/*.md`` for ``[text](target)`` links
-(``SNIPPETS.md`` etc. are excluded — they quote third-party material
-whose links point outside this repo), skips external targets
-(``http(s)://``, ``mailto:``) and pure in-page anchors (``#...``), and
-verifies every remaining target exists relative to the file that links
-it. Exits non-zero listing each broken link.
+Scans ``README.md``, ``EXPERIMENTS.md`` and ``docs/*.md`` for
+``[text](target)`` links (``SNIPPETS.md`` etc. are excluded — they
+quote third-party material whose links point outside this repo), skips
+external targets (``http(s)://``, ``mailto:``) and pure in-page anchors
+(``#...``), and verifies every remaining target exists relative to
+the file that links it. Exits non-zero listing each broken link.
 
 Run from the repo root (CI's docs job does)::
 
@@ -25,7 +25,7 @@ SKIP_PREFIXES = ("http://", "https://", "mailto:")
 
 
 def markdown_files(root: Path) -> List[Path]:
-    files = [root / "README.md"]
+    files = [root / "README.md", root / "EXPERIMENTS.md"]
     docs = root / "docs"
     if docs.is_dir():
         files += sorted(docs.glob("*.md"))
