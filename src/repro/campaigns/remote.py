@@ -25,6 +25,11 @@ Two halves:
     ``--store http://host:port``.  A fleet of hosts with nothing in
     common but that URL drains one campaign.
 
+The coordinator's HTTP plumbing — ``/v1/<op>`` routing, body limits,
+the exception-to-status map, the server lifecycle — is
+:class:`JsonApiServer`, which ``repro serve``'s
+:class:`~repro.service.estimator.EstimatorServer` builds on too.
+
 Failure semantics (the part a network transport adds):
 
 * **Bounded retry with exponential backoff.**  Every call retries
@@ -93,11 +98,12 @@ __all__ = [
     "MAX_BODY_BYTES",
     "RequestBodyError",
     "read_json_body",
+    "JsonApiServer",
     "CampaignCoordinator",
     "HttpStore",
 ]
 
-#: URL prefix of every coordinator endpoint (versioned so a future
+#: URL prefix of every endpoint of both servers (versioned so a future
 #: protocol change can serve both generations side by side).
 API_PREFIX = "/v1"
 
@@ -189,16 +195,19 @@ def read_json_body(handler: BaseHTTPRequestHandler) -> Dict[str, Any]:
 
 
 # --------------------------------------------------------------------------
-# Coordinator (server half)
+# The JSON API front (shared by the coordinator and ``repro serve``)
 # --------------------------------------------------------------------------
-class _CoordinatorHandler(BaseHTTPRequestHandler):
-    """Request handler: routes ``/v1/<op>`` to the coordinator."""
+class _JsonApiHandler(BaseHTTPRequestHandler):
+    """Request handler: routes ``/v1/<op>`` to the server's ``handle``."""
 
-    server_version = "repro-coordinator/1"
     protocol_version = "HTTP/1.1"
 
+    def version_string(self) -> str:
+        api = self.server.api  # type: ignore[attr-defined]
+        return f"{api.name}/1 {self.sys_version}"
+
     def log_message(self, fmt: str, *args: Any) -> None:  # pragma: no cover
-        pass  # rpc events go to the coordinator's tracer, not stderr
+        pass  # rpc/svc events go to the server's tracer, not stderr
 
     def _reply(self, status: int, payload: Dict[str, Any]) -> None:
         body = json.dumps(payload, sort_keys=True).encode()
@@ -210,8 +219,8 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _dispatch(self, payload: Optional[Dict[str, Any]]) -> None:
-        coordinator: "CampaignCoordinator" = self.server.coordinator  # type: ignore[attr-defined]
+    def _dispatch(self, payload: Dict[str, Any]) -> None:
+        api: "JsonApiServer" = self.server.api  # type: ignore[attr-defined]
         split = urlsplit(self.path)
         if not split.path.startswith(API_PREFIX + "/"):
             self._reply(404, {"error": f"unknown path {split.path!r}"})
@@ -221,12 +230,12 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
             key: values[0] for key, values in parse_qs(split.query).items()
         }
         try:
-            result = coordinator.handle(op, payload or {}, query)
+            result = api.handle(op, payload, query)
         except KeyError as exc:
             self._reply(400, {"error": f"missing field {exc}"})
         except ValueError as exc:
             self._reply(400, {"error": str(exc)})
-        except Exception as exc:  # backing store hiccup: client retries
+        except Exception as exc:  # store hiccup: clients retry on 5xx
             self._reply(500, {"error": repr(exc)})
         else:
             if result is None:
@@ -235,7 +244,7 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
                 self._reply(200, result)
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch(None)
+        self._dispatch({})
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         try:
@@ -246,7 +255,80 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
         self._dispatch(payload)
 
 
-class CampaignCoordinator:
+class JsonApiServer:
+    """Threaded JSON-over-HTTP server: ``/v1/<op>`` → :meth:`handle`.
+
+    The one HTTP front of both long-running processes: the campaign
+    coordinator and the live estimator subclass it and supply only
+    :meth:`handle`.  A GET carries an empty payload, a POST its JSON
+    object body (:func:`read_json_body`).  Status codes:
+
+    * 200 — ``handle`` returned a reply document;
+    * 404 — a path outside ``/v1/``, or ``handle`` returned ``None``
+      (unknown operation);
+    * 400 — ``handle`` raised ``KeyError`` (a missing field) or
+      ``ValueError`` (a malformed request, ``ServiceError`` included),
+      or the body was malformed (413 when oversized);
+    * 500 — anything else, e.g. a backing-store hiccup, which the
+      clients retry.
+    """
+
+    def __init__(
+        self, host: str = "127.0.0.1", port: int = 0, name: str = "repro"
+    ):
+        self.name = name
+        self._server = ThreadingHTTPServer((host, port), _JsonApiHandler)
+        self._server.daemon_threads = True
+        self._server.api = self  # type: ignore[attr-defined]
+        self._thread: Optional[threading.Thread] = None
+
+    def handle(
+        self,
+        op: str,
+        payload: Dict[str, Any],
+        query: Dict[str, str],
+    ) -> Optional[Dict[str, Any]]:
+        """The reply to one ``/v1/<op>`` request (``None``: unknown op)."""
+        return None
+
+    @property
+    def url(self) -> str:
+        host, port = self._server.server_address[:2]
+        return f"http://{host}:{port}"
+
+    def start(self) -> "JsonApiServer":
+        """Serve from a daemon thread (tests, embedded use)."""
+        self._thread = threading.Thread(
+            target=self._server.serve_forever,
+            kwargs={"poll_interval": 0.05},
+            daemon=True,
+            name=self.name,
+        )
+        self._thread.start()
+        return self
+
+    def serve_forever(self) -> None:
+        """Serve on the calling thread (the CLI path)."""
+        self._server.serve_forever(poll_interval=0.2)
+
+    def close(self) -> None:
+        self._server.shutdown()
+        self._server.server_close()
+        if self._thread is not None:
+            self._thread.join(timeout=5.0)
+            self._thread = None
+
+    def __enter__(self) -> "JsonApiServer":
+        return self.start()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+
+# --------------------------------------------------------------------------
+# Coordinator (server half)
+# --------------------------------------------------------------------------
+class CampaignCoordinator(JsonApiServer):
     """Serve a local campaign store's operations over HTTP.
 
     The coordinator is deliberately thin: every operation maps 1:1 to
@@ -296,46 +378,8 @@ class CampaignCoordinator:
         self._dedup_evicted = 0
         self._requests = 0
         self._deduped = 0
-        self._server = ThreadingHTTPServer((host, port), _CoordinatorHandler)
-        self._server.daemon_threads = True
-        self._server.coordinator = self  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
+        super().__init__(host, port, name="repro-coordinator")
 
-    # -- lifecycle -----------------------------------------------------------
-    @property
-    def url(self) -> str:
-        host, port = self._server.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def start(self) -> "CampaignCoordinator":
-        """Serve from a daemon thread (tests, embedded use)."""
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            daemon=True,
-            name="campaign-coordinator",
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (the CLI path)."""
-        self._server.serve_forever(poll_interval=0.2)
-
-    def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "CampaignCoordinator":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # -- operations ----------------------------------------------------------
     def handle(
         self,
         op: str,

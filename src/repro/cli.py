@@ -52,11 +52,7 @@ from typing import List, Optional
 from repro.analysis.comparison import compare_algorithms
 from repro.campaigns.aggregate import aggregate, failed_records
 from repro.campaigns.pool import SCHEDULES, TooManyFailuresError, run_campaign
-from repro.campaigns.remote import (
-    DEFAULT_DEDUP_CAP,
-    DEFAULT_PORT,
-    StoreUnreachableError,
-)
+from repro.campaigns.remote import DEFAULT_PORT, StoreUnreachableError
 from repro.campaigns.store import (
     BACKENDS,
     CampaignStore,
@@ -224,6 +220,48 @@ def _add_experiment_options(
         )
 
 
+def _add_server_arguments(
+    parser: argparse.ArgumentParser,
+    *,
+    store_help: str,
+    backends: List[str],
+    port: int,
+    spool: str,
+) -> None:
+    """The arguments ``campaign serve`` and ``serve`` share."""
+    parser.add_argument(
+        "--store", required=True, metavar="PATH", help=store_help
+    )
+    parser.add_argument(
+        "--store-backend",
+        default=None,
+        choices=backends,
+        help="store backend (default: inferred from --store)",
+    )
+    parser.add_argument(
+        "--host",
+        default="127.0.0.1",
+        help="interface to bind (0.0.0.0 to accept remote clients)",
+    )
+    parser.add_argument(
+        "--port",
+        type=int,
+        default=port,
+        help=f"port to listen on (default {port}; 0 = ephemeral)",
+    )
+    parser.add_argument(
+        "--trace",
+        nargs="?",
+        const="",
+        default=None,
+        metavar="DIR",
+        help=(
+            f"spool {spool} into DIR (default: the store's trace"
+            " directory)"
+        ),
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -347,51 +385,16 @@ def _build_parser() -> argparse.ArgumentParser:
             " (--store http://host:port) can drain it"
         ),
     )
-    sv.add_argument(
-        "--store",
-        required=True,
-        metavar="PATH",
-        help="the local backing store to serve (.jsonl/.sqlite/directory)",
-    )
-    sv.add_argument(
-        "--store-backend",
-        default=None,
-        choices=sorted(BACKENDS),
-        help="backing store backend (default: inferred from --store)",
-    )
-    sv.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="interface to bind (0.0.0.0 to accept remote pools)",
-    )
-    sv.add_argument(
-        "--port",
-        type=int,
-        default=DEFAULT_PORT,
-        help=f"port to listen on (default {DEFAULT_PORT}; 0 = ephemeral)",
-    )
-    sv.add_argument(
-        "--trace",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="DIR",
-        help=(
-            "also spool the coordinator's rpc.* events (claims granted,"
-            " appends deduped) as a server-<pid>.jsonl file into DIR"
-            " (default: the backing store's trace directory)"
+    _add_server_arguments(
+        sv,
+        store_help=(
+            "the local backing store to serve (.jsonl/.sqlite/directory)"
         ),
-    )
-    sv.add_argument(
-        "--dedup-cap",
-        type=_positive_int,
-        default=DEFAULT_DEDUP_CAP,
-        metavar="N",
-        help=(
-            "how many recent append idempotency keys to remember for"
-            " duplicate suppression (evicted oldest-first; bounds the"
-            f" coordinator's memory under long uptimes; default"
-            f" {DEFAULT_DEDUP_CAP})"
+        backends=sorted(BACKENDS),
+        port=DEFAULT_PORT,
+        spool=(
+            "the coordinator's rpc.* events (claims granted, appends"
+            " deduped) as a server-<pid>.jsonl file"
         ),
     )
 
@@ -402,44 +405,18 @@ def _build_parser() -> argparse.ArgumentParser:
             " campaign store, simulating misses on demand"
         ),
     )
-    srv.add_argument(
-        "--store",
-        required=True,
-        metavar="PATH",
-        help=(
+    _add_server_arguments(
+        srv,
+        store_help=(
             "the campaign store answering queries"
             " (.jsonl/.sqlite/directory, or http://host:port of a"
             " `repro campaign serve` coordinator)"
         ),
-    )
-    srv.add_argument(
-        "--store-backend",
-        default=None,
-        choices=sorted(BACKENDS) + ["http"],
-        help="store backend (default: inferred from --store)",
-    )
-    srv.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="interface to bind (0.0.0.0 to accept remote queries)",
-    )
-    srv.add_argument(
-        "--port",
-        type=int,
-        default=DEFAULT_SERVICE_PORT,
-        help=(
-            f"port to listen on (default {DEFAULT_SERVICE_PORT};"
-            " 0 = ephemeral)"
-        ),
-    )
-    srv.add_argument(
-        "--engine",
-        default="auto",
-        choices=list(ENGINES),
-        help=(
-            "broadcast execution engine for miss simulations (same"
-            " choices as campaign runs; results are bit-identical"
-            " either way)"
+        backends=sorted(BACKENDS) + ["http"],
+        port=DEFAULT_SERVICE_PORT,
+        spool=(
+            "the service's svc.* spans (queries, hits, enqueues, miss"
+            " simulations, the drain) as a service-<pid>.jsonl file"
         ),
     )
     srv.add_argument(
@@ -450,18 +427,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "retry budget for each miss simulation before its failure"
             " record quarantines the unit (default 2)"
-        ),
-    )
-    srv.add_argument(
-        "--trace",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="DIR",
-        help=(
-            "spool the service's svc.* spans (queries, hits, enqueues,"
-            " miss simulations, the drain) as a service-<pid>.jsonl"
-            " file into DIR (default: the store's trace directory)"
         ),
     )
 
@@ -991,90 +956,35 @@ def _cmd_campaign_trace(args, spec) -> int:
     return 0
 
 
-def _cmd_campaign_serve(args) -> int:
-    """Run the campaign coordinator until interrupted.
+def _serve_until_signalled(
+    args, role: str, events: str, title: str, build
+) -> int:
+    """Serve until SIGINT/SIGTERM, then close the server and exit 0.
 
-    The service is stateless beyond its bounded append-dedup window:
-    every record and lease lives in the backing store, so killing and
-    restarting the coordinator mid-campaign is safe — clients retry,
-    then resume.
-    """
-    import os
-
-    from repro.campaigns.remote import CampaignCoordinator
-    from repro.obs.trace import NULL_TRACER, JsonlSink, Tracer, worker_trace_path
-
-    backing = open_store(args.store, args.store_backend)
-    tracer = NULL_TRACER
-    if args.trace is not None:
-        spool_dir = Path(args.trace) if args.trace else trace_dir_for(backing)
-        tracer = Tracer(
-            JsonlSink(worker_trace_path(spool_dir, "server", os.getpid())),
-            role="server",
-        )
-        print(f"rpc events spooling to {spool_dir}")
-    coordinator = CampaignCoordinator(
-        backing,
-        host=args.host,
-        port=args.port,
-        tracer=tracer,
-        dedup_cap=args.dedup_cap,
-    )
-    print(f"campaign coordinator listening on {coordinator.url}")
-    print(f"  backing store: {backing.describe()}")
-    print(
-        f"  point worker pools at it with: --store {coordinator.url}",
-        flush=True,
-    )
-    try:
-        coordinator.serve_forever()
-    except KeyboardInterrupt:
-        print("campaign coordinator: shutting down")
-    finally:
-        coordinator.close()
-        tracer.close()
-    return 0
-
-
-def _cmd_serve(args) -> int:
-    """Run the live estimator until interrupted, then drain.
-
-    SIGINT and SIGTERM both take the graceful path (the same
-    signal→KeyboardInterrupt convention campaign pools use): the
-    listener stops accepting, the in-flight miss simulation finishes
-    and releases its lease through the ordinary campaign machinery,
-    and the process exits 0 — every answered record is already in the
-    store, so a restart resumes with a warm cache.
+    The loop of both serve commands.  ``build(store, tracer)`` returns the server and the banner lines
+    after the first, which ends with the URL that scripts parse.
+    Process managers (and coreutils ``timeout``) may deliver a signal
+    more than once; only the first starts the close, so a repeat
+    cannot interrupt it.
     """
     import os
     import signal
 
     from repro.obs.trace import NULL_TRACER, JsonlSink, Tracer, worker_trace_path
-    from repro.service import EstimatorServer, EstimatorService
 
     store = open_store(args.store, args.store_backend)
     tracer = NULL_TRACER
     if args.trace is not None:
         spool_dir = Path(args.trace) if args.trace else trace_dir_for(store)
         tracer = Tracer(
-            JsonlSink(worker_trace_path(spool_dir, "service", os.getpid())),
-            role="service",
+            JsonlSink(worker_trace_path(spool_dir, role, os.getpid())),
+            role=role,
         )
-        print(f"svc events spooling to {spool_dir}")
-    service = EstimatorService(
-        store,
-        tracer=tracer,
-        engine=args.engine,
-        retries=args.retries,
-    )
-    server = EstimatorServer(service, host=args.host, port=args.port)
-
+        print(f"{events} events spooling to {spool_dir}")
+    server, hints = build(store, tracer)
     draining = False
 
     def _graceful(signum: int, frame) -> None:
-        # Process managers (and coreutils `timeout`) may deliver the
-        # termination signal more than once; only the first one starts
-        # the drain — a repeat must not interrupt the drain itself.
         nonlocal draining
         if draining:
             return
@@ -1087,27 +997,70 @@ def _cmd_serve(args) -> int:
             restore.append((sig, signal.signal(sig, _graceful)))
         except (ValueError, OSError):  # pragma: no cover - platform
             pass
-    print(f"estimator service listening on {server.url}")
-    print(f"  answer cache: {store.describe()}")
-    print(
-        f"  query it with: curl -X POST {server.url}/v1/query"
-        " -d '{\"algorithm\": \"DB\", \"dims\": [8, 8, 8]}'",
-        flush=True,
-    )
+    print(f"{title} listening on {server.url}")
+    print("\n".join(hints), flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
-        print("estimator service: draining", flush=True)
+        print(f"{title}: draining", flush=True)
     finally:
-        draining = True  # ignore repeated signals for the whole drain
+        draining = True  # ignore repeated signals for the whole close
         try:
             server.close()
             tracer.close()
         finally:
             for sig, previous in restore:
                 signal.signal(sig, previous)
-    print("estimator service: drained cleanly")
+    print(f"{title}: drained cleanly")
     return 0
+
+
+def _cmd_campaign_serve(args) -> int:
+    """Run the campaign coordinator until SIGINT/SIGTERM.
+
+    The service is stateless beyond its bounded append-dedup window:
+    every record and lease lives in the backing store, so killing and
+    restarting the coordinator mid-campaign is safe — clients retry,
+    then resume.
+    """
+    from repro.campaigns.remote import CampaignCoordinator
+
+    def build(backing, tracer):
+        coordinator = CampaignCoordinator(
+            backing, host=args.host, port=args.port, tracer=tracer
+        )
+        return coordinator, [
+            f"  backing store: {backing.describe()}",
+            f"  point worker pools at it with: --store {coordinator.url}",
+        ]
+
+    return _serve_until_signalled(
+        args, "server", "rpc", "campaign coordinator", build
+    )
+
+
+def _cmd_serve(args) -> int:
+    """Run the live estimator until SIGINT/SIGTERM, then drain.
+
+    The listener stops accepting, the in-flight miss simulation
+    finishes and releases its lease through the ordinary campaign
+    machinery, and the process exits 0 — every answered record is
+    already in the store, so a restart resumes with a warm cache.
+    """
+    from repro.service import EstimatorServer, EstimatorService
+
+    def build(store, tracer):
+        service = EstimatorService(store, tracer=tracer, retries=args.retries)
+        server = EstimatorServer(service, host=args.host, port=args.port)
+        return server, [
+            f"  answer cache: {store.describe()}",
+            f"  query it with: curl -X POST {server.url}/v1/query"
+            " -d '{\"algorithm\": \"DB\", \"dims\": [8, 8, 8]}'",
+        ]
+
+    return _serve_until_signalled(
+        args, "service", "svc", "estimator service", build
+    )
 
 
 def _cmd_campaign(args) -> int:

@@ -6,15 +6,16 @@ ordinary campaign machinery, turning the store into a demand-driven
 cache.  See ``docs/service.md``.
 """
 
+from repro.campaigns.remote import API_PREFIX
 from repro.service.estimator import (
     ANSWER_LATENCY_BOUNDS_S,
     DEFAULT_SERVICE_PORT,
     QUERY_FIELDS,
+    EstimatorServer,
     EstimatorService,
     ServiceError,
     spec_for_query,
 )
-from repro.service.http import API_PREFIX, EstimatorServer
 
 __all__ = [
     "ANSWER_LATENCY_BOUNDS_S",

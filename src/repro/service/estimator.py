@@ -45,8 +45,10 @@ import time
 from typing import Any, Callable, Dict, Optional, Set
 
 from repro.campaigns.pool import run_campaign
+from repro.campaigns.remote import JsonApiServer
 from repro.campaigns.spec import CampaignSpec, UnitSpec, freeze_params
 from repro.campaigns.store import CampaignStore
+from repro.campaigns.units import broadcast_engine
 from repro.obs.meters import MeterRegistry
 from repro.obs.trace import NULL_TRACER
 
@@ -56,6 +58,7 @@ __all__ = [
     "QUERY_FIELDS",
     "ServiceError",
     "EstimatorService",
+    "EstimatorServer",
     "spec_for_query",
 ]
 
@@ -184,10 +187,11 @@ class EstimatorService:
         never ``time.time()``.
     tracer:
         ``svc.*`` spans/events land here (default: the no-op tracer).
-    engine / retries:
-        Forwarded to :func:`run_campaign` for every miss — the batched
-        broadcast engine and the failure-domain retry budget apply to
-        service-triggered simulations exactly as to campaign runs.
+    retries:
+        Forwarded to :func:`run_campaign` for every miss — the
+        failure-domain retry budget applies to service-triggered
+        simulations exactly as to campaign runs (and so does the
+        process's broadcast engine, ``REPRO_BROADCAST_ENGINE``).
     queue_size:
         Bound on queued-but-unstarted misses; excess misses stay
         pending (their tickets redeem once re-queried) instead of
@@ -209,14 +213,12 @@ class EstimatorService:
         *,
         clock: Callable[[], float] = time.monotonic,
         tracer: Any = NULL_TRACER,
-        engine: Optional[str] = "auto",
         retries: int = 2,
         queue_size: int = 1024,
     ):
         self.store = store
         self.clock = clock
         self.tracer = tracer
-        self.engine = engine
         self.retries = int(retries)
         self.meters = MeterRegistry()
         self._hist = self.meters.histogram(
@@ -344,7 +346,6 @@ class EstimatorService:
                         ),
                         store=self.store,
                         retries=self.retries,
-                        engine=self.engine,
                     )
             except Exception as exc:  # the service must outlive any unit
                 self.tracer.event(
@@ -415,7 +416,7 @@ class EstimatorService:
             "service": "estimator",
             "backend": self.store.backend,
             "store": str(self.store.path),
-            "engine": self.engine,
+            "engine": broadcast_engine(),
             "retries": self.retries,
             "inflight": inflight,
             "draining": closed,
@@ -460,3 +461,60 @@ class EstimatorService:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<EstimatorService {self.store.describe()}>"
+
+
+class EstimatorServer(JsonApiServer):
+    """Serve one :class:`EstimatorService` over HTTP (``repro serve``).
+
+    ========================  ======  =======================================
+    endpoint                  method  service call
+    ========================  ======  =======================================
+    ``/v1/query``             POST    :meth:`EstimatorService.query`
+    ``/v1/result?ticket=<h>`` GET     :meth:`EstimatorService.result`
+    ``/v1/stats``             GET     :meth:`EstimatorService.stats`
+    ``/v1/status``            GET     :meth:`EstimatorService.status`
+    ``/v1/health``            GET     alias of ``/v1/status``
+    ========================  ======  =======================================
+
+    Status codes are :class:`~repro.campaigns.remote.JsonApiServer`'s:
+    a malformed query (:class:`ServiceError`) or a missing ``ticket``
+    replies 400, a store failure 500 so open-loop clients retry.
+
+    Example::
+
+        service = EstimatorService(open_store("campaigns/oracle.sqlite"))
+        with EstimatorServer(service, port=0) as server:
+            urlopen(f"{server.url}/v1/status")
+        # __exit__ stops the listener and drains the service.
+    """
+
+    def __init__(
+        self,
+        service: EstimatorService,
+        host: str = "127.0.0.1",
+        port: int = DEFAULT_SERVICE_PORT,
+    ):
+        self.service = service
+        super().__init__(host, port, name="repro-estimator")
+
+    def handle(
+        self,
+        op: str,
+        payload: Dict[str, Any],
+        query: Dict[str, str],
+    ) -> Optional[Dict[str, Any]]:
+        if op == "query":
+            return self.service.query(payload)
+        if op == "result":
+            return self.service.result(query["ticket"])
+        if op == "stats":
+            return self.service.stats()
+        if op in ("status", "health"):
+            return self.service.status()
+        return None
+
+    def close(self) -> None:
+        """Stop the listener, then drain the service (in that order:
+        no new queries can arrive while the in-flight unit finishes)."""
+        super().close()
+        self.service.close()

@@ -15,7 +15,7 @@ The contract under test, per layer:
   hand-computable (nearest-rank over the scripted answer latencies).
 * **lifecycle** — SIGTERM drains gracefully: in-flight work finishes,
   leases are released, exit status 0 (the subprocess test drives the
-  real ``repro serve`` CLI).
+  real ``repro serve`` and ``repro campaign serve`` CLIs).
 """
 
 import json
@@ -24,7 +24,6 @@ import signal
 import subprocess
 import sys
 import time
-import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -310,32 +309,16 @@ def test_http_endpoints_round_trip(tmp_path):
     assert store.leased_hashes() == set()
 
 
-@pytest.mark.parametrize(
-    "method,path,body,expected",
-    [
-        ("GET", "/nope", None, 404),
-        ("GET", "/v1/nope", None, 404),
-        ("GET", "/v1/result", None, 400),  # missing ticket
-        ("POST", "/v1/query", b"not json", 400),
-        ("POST", "/v1/query", b"[1, 2]", 400),
-        ("POST", "/v1/query", b'{"algorithm": "nope", "dims": [4]}', 400),
-    ],
-)
-def test_http_error_codes(tmp_path, method, path, body, expected):
-    store = open_store(tmp_path / "svc.sqlite")
-    with EstimatorServer(EstimatorService(store), port=0) as server:
-        request = urllib.request.Request(
-            f"{server.url}{path}", data=body, method=method
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == expected
-        assert "error" in json.loads(excinfo.value.read())
-
-
 # ------------------------------------------------------- graceful drain
-def test_repro_serve_sigterm_drains_cleanly(tmp_path):
-    """Drive the real CLI: boot, query, SIGTERM, assert a clean exit."""
+@pytest.mark.parametrize(
+    "command", [["serve"], ["campaign", "serve"]], ids=["serve", "campaign"]
+)
+def test_repro_serve_sigterm_drains_cleanly(tmp_path, command):
+    """Drive the real CLI: boot, use, SIGTERM, assert a clean exit.
+
+    Both serve commands share one serve loop, so the estimator and the
+    campaign coordinator drain the same way.
+    """
     repo_src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -347,7 +330,7 @@ def test_repro_serve_sigterm_drains_cleanly(tmp_path):
             sys.executable,
             "-m",
             "repro",
-            "serve",
+            *command,
             "--store",
             str(store_path),
             "--port",
@@ -365,15 +348,20 @@ def test_repro_serve_sigterm_drains_cleanly(tmp_path):
             if "listening on" in line:
                 url = line.rsplit(" ", 1)[-1].strip()
                 break
-        assert url, "service never reported its URL"
-        # Wait past the banner so the listener is accepting.
-        ticket = http_post(f"{url}/v1/query", QUERY)["ticket"]
-        deadline = time.monotonic() + 60
-        answer = {"status": "pending"}
-        while answer["status"] == "pending" and time.monotonic() < deadline:
-            answer = http_get(f"{url}/v1/result?ticket={ticket}")
-            time.sleep(0.05)
-        assert answer["status"] == "hit"
+        assert url, "server never reported its URL"
+        if command == ["serve"]:
+            ticket = http_post(f"{url}/v1/query", QUERY)["ticket"]
+            deadline = time.monotonic() + 60
+            answer = {"status": "pending"}
+            while (
+                answer["status"] == "pending"
+                and time.monotonic() < deadline
+            ):
+                answer = http_get(f"{url}/v1/result?ticket={ticket}")
+                time.sleep(0.05)
+            assert answer["status"] == "hit"
+        else:
+            assert http_get(f"{url}/v1/status")["ok"]
         proc.send_signal(signal.SIGTERM)
         out, _ = proc.communicate(timeout=30)
     finally:
@@ -382,7 +370,8 @@ def test_repro_serve_sigterm_drains_cleanly(tmp_path):
             proc.communicate()
     assert proc.returncode == 0, out
     assert "drained cleanly" in out
-    # The drain left no lease behind and the answer is durable.
-    store = open_store(store_path)
-    assert store.leased_hashes() == set()
-    assert store.get(ticket).ok
+    if command == ["serve"]:
+        # The drain left no lease behind and the answer is durable.
+        store = open_store(store_path)
+        assert store.leased_hashes() == set()
+        assert store.get(ticket).ok
