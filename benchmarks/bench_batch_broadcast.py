@@ -14,8 +14,8 @@ of that trade on the same cells:
 * ``batch_fallback_*`` — a short-message cell whose worms outrun their
   first delivery, so every source fails the sweep's wave-eligibility
   check *after* planning: the workload prices the wasted plan + sweep
-  on top of the per-source event fallback (the overhead ``--engine
-  auto`` risks on ineligible cells).
+  on top of the per-source event fallback (the overhead the default
+  batched engine risks on ineligible cells).
 
 Each workload is a plain module-level function so
 ``tools/bench_report.py --suite batch`` can time them outside pytest

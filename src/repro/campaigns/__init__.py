@@ -10,9 +10,9 @@ Core pieces:
 * :mod:`repro.campaigns.spec` — :class:`UnitSpec` / :class:`CampaignSpec`,
   declarative unit grids with stable content hashing;
 * :mod:`repro.campaigns.pool` — serial or ``ProcessPoolExecutor``-based
-  dispatch (``run_campaign``) with pluggable scheduling policies
-  (``fifo`` / ``adaptive`` largest-cost-first), byte-identical across
-  worker counts and schedules;
+  dispatch (``run_campaign``): declaration order in-process,
+  largest-estimated-cost first across workers, byte-identical either
+  way;
 * :mod:`repro.campaigns.store` — the :class:`CampaignStore` contract and
   its local backends (append-only JSONL, SQLite in WAL mode, and a
   lease-arbitrated shared directory for multi-host fleets), giving
@@ -38,7 +38,7 @@ Core pieces:
 Determinism contract: a unit derives every random draw it needs from
 the campaign's master seed via the :class:`repro.sim.rng.RandomStreams`
 spawn-key scheme (never from process-local state), so running a
-campaign with ``--workers 4``, under any scheduling policy, on any
+campaign with ``--workers 4``, in any dispatch order, on any
 store backend — or split across several cooperating pools — produces
 rows identical to the serial run, and a crashed campaign resumes
 exactly where it stopped.
@@ -61,7 +61,6 @@ from repro.campaigns.costmodel import (
     load_default_cost_model,
 )
 from repro.campaigns.pool import (
-    SCHEDULES,
     TooManyFailuresError,
     WorkerCrashError,
     estimate_unit_cost,
@@ -104,7 +103,6 @@ __all__ = [
     "HttpStore",
     "JsonlStore",
     "ResultStore",
-    "SCHEDULES",
     "SharedDirStore",
     "SqliteStore",
     "StoreUnreachableError",

@@ -14,12 +14,12 @@ better: :func:`fit_cost_model` fits a log-linear model
 (N nodes, L flits, ρ load, B the unit's *own* batch budget — a
 shard's is its slice — and ``shard`` the per-replication overhead
 indicator of ``traffic-shard`` units) by ordinary
-least squares, and the resulting :class:`CostModel` plugs into
-``--schedule adaptive`` dispatch: ``repro campaign fit-cost`` writes
-``campaigns/cost_model.json`` and every later adaptive run picks it up
-automatically.
+least squares, and the resulting :class:`CostModel` orders the
+dispatch of every pooled run (``workers > 1``): ``repro campaign
+fit-cost`` writes ``campaigns/cost_model.json`` and every later pooled
+run picks it up automatically.
 
-Only the *ordering* of predictions matters to the scheduler, so modest
+Only the *ordering* of predictions matters to dispatch, so modest
 fit quality still shrinks makespans; the model never affects results,
 only dispatch order (see ``docs/campaigns.md``).
 """
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 #: Conventional location written by ``repro campaign fit-cost`` and
-#: consulted by adaptive scheduling.
+#: consulted by pooled dispatch and ``--shards auto``.
 DEFAULT_COST_MODEL_PATH = Path("campaigns") / "cost_model.json"
 
 FEATURE_NAMES = (
@@ -98,9 +98,7 @@ def unit_budget(spec: UnitSpec) -> float:
 _BROADCAST_KINDS = ("broadcast", "broadcast-cell", "broadcast-shard")
 
 
-def cost_features(
-    spec: UnitSpec, engine: Optional[str] = None
-) -> List[float]:
+def cost_features(spec: UnitSpec) -> List[float]:
     """Feature vector of one unit (see module docstring for the model).
 
     Shards are first-class: a ``traffic-shard`` unit's batch budget is
@@ -108,29 +106,29 @@ def cost_features(
     its source count (and a ``broadcast-shard``'s its slice of it),
     and the ``shard`` indicator lets the fit learn the fixed
     per-replication overhead (network construction, private warm-up)
-    that makes a shard cost more than ``1/K`` of its parent.  The
-    adaptive scheduler therefore LPT-orders individual shards, not
-    just whole points — and ``--shards auto`` inverts the same model
-    to pick the fan-out.
+    that makes a shard cost more than ``1/K`` of its parent.  Pooled
+    runs therefore LPT-order individual shards, not just whole points
+    — and ``--shards auto`` inverts the same model to pick the fan-out.
 
-    ``engine`` is the broadcast engine the unit will run under
-    (``None`` resolves the process default via
-    :func:`repro.campaigns.units.broadcast_engine`).  The
-    ``engine_batched`` indicator marks broadcast work the batched
-    sweep will serve (engine not forced to ``event`` and a
-    non-adaptive algorithm — AB always falls back per source), so a
-    fit over mixed-engine records learns how much cheaper a batched
-    shard runs and ``--shards auto`` stops over-splitting it.
+    The ``engine_batched`` indicator is 1 for non-AB broadcast work
+    while *this process's* engine
+    (:func:`repro.campaigns.units.broadcast_engine`) is not
+    ``"event"``: the work the batched sweep would serve here (AB
+    always falls back per source).  Records do not store the engine
+    that measured them, so :func:`fit_cost_model` evaluates the
+    indicator under the fitting process's engine.  Within one fit it
+    is therefore a fixed function of kind and algorithm that separates
+    batch-eligible broadcast work from AB and traffic work; it
+    captures a batched speed-up only when the records were measured on
+    the engine the fitting process runs.
     """
-    if engine is None:
-        from repro.campaigns.units import broadcast_engine
+    from repro.campaigns.units import broadcast_engine
 
-        engine = broadcast_engine()
     nodes = float(math.prod(spec.dims))
     load = max(float(spec.load), 1.0) if spec.load is not None else 1.0
     budget = unit_budget(spec)
     batched = (
-        engine != "event"
+        broadcast_engine() != "event"
         and spec.kind in _BROADCAST_KINDS
         and spec.algorithm != "AB"
     )
@@ -165,7 +163,7 @@ class CostModel:
     samples: int
     r_squared: float
 
-    def predict(self, spec: UnitSpec, engine: Optional[str] = None) -> float:
+    def predict(self, spec: UnitSpec) -> float:
         """Predicted wall seconds for one unit (always positive).
 
         ``zip`` truncates to the shorter of (weights, features), so a
@@ -173,7 +171,7 @@ class CostModel:
         the missing trailing weight simply contributes zero.
         """
         z = 0.0
-        for w, x in zip(self.weights, cost_features(spec, engine=engine)):
+        for w, x in zip(self.weights, cost_features(spec)):
             z += w * x
         # exp() overflow cannot happen for sane weights, but guard the
         # scheduler against a degenerate fit anyway.
@@ -265,7 +263,6 @@ def auto_shard_count(
     *,
     workers: Optional[int] = None,
     min_shard_s: float = DEFAULT_MIN_SHARD_COST_S,
-    engine: Optional[str] = None,
 ) -> int:
     """Pick a unit's fan-out from the fitted per-shard cost model.
 
@@ -316,7 +313,7 @@ def auto_shard_count(
         # content hashes (unit_hash is a lazy property predict() never
         # touches), so even the cheap-unit worst case stays trivial.
         narrowest = shard_specs(spec, k)[-1]
-        if model.predict(narrowest, engine=engine) >= min_shard_s:
+        if model.predict(narrowest) >= min_shard_s:
             return k
     return 1
 
@@ -331,8 +328,8 @@ def load_default_cost_model(
 ) -> Optional[CostModel]:
     """The conventional fitted model, or ``None`` when absent/unreadable.
 
-    Adaptive scheduling calls this opportunistically — a missing or
-    stale file silently falls back to the static estimate.
+    Pooled runs and ``--shards auto`` call this opportunistically — a
+    missing or stale file silently falls back to the static estimate.
     """
     path = Path(path) if path is not None else DEFAULT_COST_MODEL_PATH
     if not path.exists():

@@ -1,22 +1,23 @@
-"""Campaign dispatch: scheduling policies + serial/pooled execution.
+"""Campaign dispatch: dispatch order + serial/pooled execution.
 
 ``run_campaign`` drains a campaign's pending units either in-process
 or across ``workers`` processes (:class:`concurrent.futures.
 ProcessPoolExecutor`).  Units are pure functions of their spec (every
 random draw derives from the master seed via named streams), so *how*
-they are dispatched — worker count, scheduling policy, which pool of a
+they are dispatched — worker count, dispatch order, which pool of a
 multi-pool fleet runs them — changes only wall-clock time: the
 returned records, and any rows aggregated from them, are byte-identical
 to a serial run.
 
 Three orthogonal dispatch concerns live here:
 
-scheduling (``schedule=``)
-    ``"fifo"`` dispatches in declaration order; ``"adaptive"`` orders
-    pending units by :func:`estimate_unit_cost` (mesh size × traffic
-    load × message length), largest first, so the slowest cells start
-    early and the campaign's makespan shrinks (classic longest-
-    processing-time list scheduling).
+ordering (follows ``workers``)
+    A serial run dispatches in declaration order: order cannot change
+    a serial makespan.  A pooled run orders pending units by
+    :func:`estimate_unit_cost` (mesh size × traffic load × message
+    length, or the fitted cost model when one exists), largest first,
+    so the slowest cells start early and the campaign's makespan
+    shrinks (classic longest-processing-time list scheduling).
 leasing (``store=`` with a lease-capable backend)
     Before executing a unit the pool claims it through the store's
     lease protocol; units claimed by a concurrent pool are deferred
@@ -49,8 +50,7 @@ Example::
 
     store = open_store("campaigns/fig4-full-s0.sqlite")
     cache = [open_store("campaigns/fig4-quick-s0.sqlite")]
-    records = run_campaign(spec, workers=8, store=store,
-                           schedule="adaptive", cache=cache)
+    records = run_campaign(spec, workers=8, store=store, cache=cache)
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "ProgressFn",
-    "SCHEDULES",
     "TooManyFailuresError",
     "WorkerCrashError",
     "estimate_unit_cost",
@@ -114,9 +113,6 @@ _UNIT_RUNNERS: Dict[str, Callable[[UnitSpec], Dict[str, Any]]] = {}
 
 ProgressFn = Callable[[str], None]
 
-#: scheduling policies accepted by :func:`run_campaign`.
-SCHEDULES = ("fifo", "adaptive")
-
 
 def register_unit_runner(
     kind: str,
@@ -146,7 +142,7 @@ def _runner_for(kind: str) -> Callable[[UnitSpec], Dict[str, Any]]:
         ) from None
 
 
-# ---------------------------------------------------------------- schedule
+# ---------------------------------------------------------- dispatch order
 def estimate_unit_cost(
     spec: UnitSpec, model: Optional["CostModel"] = None
 ) -> float:
@@ -158,8 +154,8 @@ def estimate_unit_cost(
     pure function of the spec (no timing, no state): mesh size ×
     traffic load × message length, with traffic units further scaled
     by their batch budget and barrier twins counted twice.  Only the
-    *ordering* of estimates matters — the adaptive scheduler sorts by
-    it — so crude is fine as long as 16×16×8 at high load reliably
+    *ordering* of estimates matters — :func:`order_units` sorts pooled
+    runs by it — so crude is fine as long as 16×16×8 at high load reliably
     outranks 4×4×4 at idle.
     """
     if model is not None:
@@ -185,27 +181,25 @@ def estimate_unit_cost(
 
 def order_units(
     units: Sequence[UnitSpec],
-    schedule: str = "fifo",
+    workers: int = 1,
     model: Optional["CostModel"] = None,
 ) -> List[UnitSpec]:
-    """Dispatch order for ``units`` under a scheduling policy.
+    """Dispatch order for ``units`` on ``workers`` processes.
 
-    ``"fifo"`` keeps declaration order; ``"adaptive"`` sorts by
-    descending :func:`estimate_unit_cost` (optionally under a fitted
-    ``model``) with declaration order as the tie-break, so the
-    ordering is deterministic for a given grid and model file.
+    One worker keeps declaration order: order cannot change a serial
+    makespan, and a serial store keeps appending in grid order.  More
+    workers sort by descending :func:`estimate_unit_cost` (optionally
+    under a fitted ``model``) with declaration order as the
+    tie-break, so the ordering is deterministic for a given grid and
+    model file.
     """
-    if schedule == "fifo":
+    if workers <= 1:
         return list(units)
-    if schedule == "adaptive":
-        indexed = sorted(
-            enumerate(units),
-            key=lambda pair: (-estimate_unit_cost(pair[1], model), pair[0]),
-        )
-        return [unit for _, unit in indexed]
-    raise ValueError(
-        f"unknown schedule {schedule!r}; choose from {SCHEDULES}"
+    indexed = sorted(
+        enumerate(units),
+        key=lambda pair: (-estimate_unit_cost(pair[1], model), pair[0]),
     )
+    return [unit for _, unit in indexed]
 
 
 # --------------------------------------------------------------- execution
@@ -216,9 +210,11 @@ def execute_unit(
 ) -> UnitRecord:
     """Run one unit and wrap its result as a :class:`UnitRecord`.
 
-    ``engine`` (event/batched/auto, ``None`` = leave the process
-    default alone) selects the broadcast execution engine for the
-    duration of this unit — pure work division, bit-identical records,
+    ``engine`` (``"event"`` or ``"batched"``; ``None`` keeps the
+    process engine, :func:`repro.campaigns.units.broadcast_engine`)
+    forces the broadcast engine for this one unit.  It is the oracle
+    hook: tests and benchmarks re-run a unit on the event engine and
+    compare.  Records are bit-identical either way, and the engine is
     never part of the unit hash.
     """
     runner = _runner_for(spec.kind)
@@ -359,7 +355,6 @@ def _execute_payload(
     owner: str = "",
     ttl_s: float = DEFAULT_LEASE_TTL_S,
     trace_dir: Optional[str] = None,
-    engine: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Worker-process entry point (module-level so it pickles).
 
@@ -376,7 +371,7 @@ def _execute_payload(
         # copy arrived bare, so hand it this worker's.
         store.set_tracer(tracer)
     with lease_heartbeat(store, spec.unit_hash, owner, ttl_s, tracer=tracer):
-        return execute_unit(spec, tracer=tracer, engine=engine).to_dict()
+        return execute_unit(spec, tracer=tracer).to_dict()
 
 
 def _warm_from_caches(
@@ -415,7 +410,6 @@ def run_campaign(
     store: Optional[CampaignStore] = None,
     progress: Optional[ProgressFn] = None,
     *,
-    schedule: str = "fifo",
     cache: Sequence[CampaignStore] = (),
     cost_model: Optional["CostModel"] = None,
     shards: int | str = 1,
@@ -425,20 +419,11 @@ def run_campaign(
     retries: int = 2,
     max_failures: Optional[int] = None,
     retry_backoff_s: float = 0.5,
-    engine: Optional[str] = None,
 ) -> List[UnitRecord]:
     """Execute a campaign and return its records in declaration order.
 
     Parameters are documented on :func:`_run_campaign`'s body below,
     except:
-
-    engine:
-        Broadcast execution engine (``"event"``, ``"batched"`` or
-        ``"auto"``; ``None`` keeps the process default, normally
-        ``auto``).  Like a broadcast cell's shard fan-out this is pure
-        work division — records are bit-identical whichever engine
-        computes them, so the choice is never content-hashed and racing
-        pools may disagree about it freely.
 
     trace_dir:
         When given, the run is traced: this pool process and every
@@ -477,7 +462,6 @@ def run_campaign(
             campaign=spec.name,
             units=len(spec),
             workers=workers,
-            schedule=schedule,
             shards=str(shards),
         ):
             return _run_campaign(
@@ -485,7 +469,6 @@ def run_campaign(
                 workers,
                 store,
                 progress,
-                schedule=schedule,
                 cache=cache,
                 cost_model=cost_model,
                 shards=shards,
@@ -496,7 +479,6 @@ def run_campaign(
                 retries=retries,
                 max_failures=max_failures,
                 retry_backoff_s=retry_backoff_s,
-                engine=engine,
             )
     finally:
         if restore_signals:
@@ -520,7 +502,6 @@ def _run_campaign(
     store: Optional[CampaignStore] = None,
     progress: Optional[ProgressFn] = None,
     *,
-    schedule: str = "fifo",
     cache: Sequence[CampaignStore] = (),
     cost_model: Optional["CostModel"] = None,
     shards: int | str = 1,
@@ -531,7 +512,6 @@ def _run_campaign(
     retries: int = 2,
     max_failures: Optional[int] = None,
     retry_backoff_s: float = 0.5,
-    engine: Optional[str] = None,
 ) -> List[UnitRecord]:
     """The campaign engine (:func:`run_campaign` wraps it in a span).
 
@@ -540,7 +520,11 @@ def _run_campaign(
     spec:
         The campaign to run.
     workers:
-        Process count; ``1`` runs in-process (no pool, no pickling).
+        Process count; ``1`` runs in-process (no pool, no pickling)
+        in declaration order.  With more workers, pending units are
+        dispatched largest-estimated-cost first (:func:`order_units`).
+        Order affects dispatch only — results and row order are
+        identical for every worker count.
     store:
         Optional :class:`~repro.campaigns.store.CampaignStore`.  Units
         already present are *not* re-executed (their stored record is
@@ -551,21 +535,16 @@ def _run_campaign(
         sharing the store divide the campaign between them.
     progress:
         Optional callback for human-readable progress lines.
-    schedule:
-        ``"fifo"`` (declaration order) or ``"adaptive"``
-        (largest-estimated-cost first); see :func:`order_units`.
-        Scheduling affects dispatch order only — results and row
-        order are identical under every policy.
     cache:
         Read-only stores consulted for prior records with the same
         content hash (e.g. the overlapping ``quick``-scale store of a
         ``full`` campaign).  Hits are copied into ``store``.
     cost_model:
         Optional fitted :class:`~repro.campaigns.costmodel.CostModel`
-        used by ``schedule="adaptive"`` instead of the static
-        heuristic (``repro campaign fit-cost`` produces one; the CLI
-        auto-loads ``campaigns/cost_model.json`` when present).
-        Affects dispatch order only, never results.
+        that orders pooled runs (and resolves ``shards="auto"``)
+        instead of the static heuristic (``repro campaign fit-cost``
+        produces one; ``campaigns/cost_model.json`` is loaded when
+        present).  Affects dispatch only, never results.
     shards:
         Fan-out request for **broadcast cell** units (kind
         ``"broadcast-cell"``): an integer slices each cell's source
@@ -622,15 +601,11 @@ def _run_campaign(
         raise ValueError(
             f"max_failures must be >= 0 or None, got {max_failures}"
         )
-    if schedule not in SCHEDULES:
-        raise ValueError(
-            f"unknown schedule {schedule!r}; choose from {SCHEDULES}"
-        )
     if not (shards == "auto" or (isinstance(shards, int) and shards >= 1)):
         raise ValueError(
             f"shards must be a positive int or 'auto', got {shards!r}"
         )
-    if cost_model is None and (schedule == "adaptive" or shards == "auto"):
+    if cost_model is None and (workers > 1 or shards == "auto"):
         # Opportunistically use the fitted model from a prior
         # `repro campaign fit-cost` run; silently absent otherwise.
         from repro.campaigns.costmodel import load_default_cost_model
@@ -665,7 +640,6 @@ def _run_campaign(
             requested=shards,
             cost_model=cost_model,
             workers=workers,
-            engine=engine,
         )
         if fan_out > 1:
             plan = shard_specs(unit, fan_out)
@@ -891,11 +865,10 @@ def _run_campaign(
         progress(
             f"campaign {spec.name}: {len(spec)} units{shard_note}"
             f" ({cached_note}{quarantine_note}, {len(pending)} to run,"
-            f" workers={min(workers, max(len(pending), 1))},"
-            f" schedule={schedule})"
+            f" workers={min(workers, max(len(pending), 1))})"
         )
 
-    queue = deque(order_units(pending, schedule, cost_model))
+    queue = deque(order_units(pending, workers, cost_model))
     deferred: List[UnitSpec] = []  # leased by a concurrent pool
     deferred_ever: set = set()  # a later claim of these is a steal/retry
     last_wait_note = -1  # dedupe "waiting on N" progress lines
@@ -999,9 +972,7 @@ def _run_campaign(
                             lease_ttl_s,
                             tracer=tracer,
                         ):
-                            record = execute_unit(
-                                unit, tracer=tracer, engine=engine
-                            )
+                            record = execute_unit(unit, tracer=tracer)
                     except Exception as exc:
                         # Per-unit fault isolation: record the failure
                         # (which releases the lease) and keep draining.
@@ -1025,7 +996,6 @@ def _run_campaign(
                             owner,
                             lease_ttl_s,
                             trace_dir,
-                            engine,
                         )
                     except BrokenProcessPool:
                         # The pool broke between batches; this unit
@@ -1094,7 +1064,7 @@ def _run_campaign(
                             f" concurrent pool"
                         )
                     time.sleep(poll_interval_s)
-                    queue.extend(order_units(missing, schedule, cost_model))
+                    queue.extend(order_units(missing, workers, cost_model))
             elif not queue and not active and cooldown:
                 # Nothing runnable until a backoff expires: sleep to
                 # the earliest deadline (bounded by the poll interval).

@@ -294,7 +294,6 @@ def planned_shards(
     *,
     cost_model: Optional[Any] = None,
     workers: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> int:
     """The fan-out the pool should expand ``spec`` into (1 = run whole).
 
@@ -315,9 +314,7 @@ def planned_shards(
     if requested == "auto":
         from repro.campaigns.costmodel import auto_shard_count
 
-        return auto_shard_count(
-            spec, cost_model, workers=workers, engine=engine
-        )
+        return auto_shard_count(spec, cost_model, workers=workers)
     count = int(requested)
     if count < 1:
         raise ValueError(f"shards must be >= 1 or 'auto', got {requested!r}")

@@ -79,20 +79,19 @@ __all__ = [
 FAIL_UNITS_ENV = "REPRO_FAIL_UNITS"
 
 
-#: Broadcast execution engines.  ``"event"`` is the per-source
-#: discrete-event path every release has used; ``"batched"`` routes
+#: Broadcast execution engines.  ``"batched"`` — the default — routes
 #: eligible sources through the structure-of-arrays sweep of
 #: :mod:`repro.core.batch_broadcast` (falling back per-source where
-#: exactness cannot be proved); ``"auto"`` — the default — is
-#: ``"batched"``, relying on the same per-source fallback, since the
-#: two engines are bit-identical on every record.  The choice is pure
-#: work division (like a broadcast cell's shard fan-out) and is
-#: deliberately **never** part of a unit's hashed parameters.
-ENGINES = ("event", "batched", "auto")
+#: exactness cannot be proved); ``"event"`` is the per-source
+#: discrete-event path every release has used, kept as the oracle the
+#: sweep is checked against.  The two engines are bit-identical on
+#: every record, so the choice is pure work division (like a broadcast
+#: cell's shard fan-out) and is deliberately **never** part of a
+#: unit's hashed parameters.
+ENGINES = ("event", "batched")
 
-#: Environment override for the engine choice; worker processes
-#: inherit it, and the explicit ``engine=`` plumbing of
-#: :func:`repro.campaigns.pool.run_campaign` takes precedence.
+#: The process-level engine switch.  Worker processes inherit the
+#: environment, so it reaches every unit of a pooled run.
 BROADCAST_ENGINE_ENV = "REPRO_BROADCAST_ENGINE"
 
 _ENGINE_OVERRIDE: Optional[str] = None
@@ -101,21 +100,22 @@ _ENGINE_OVERRIDE: Optional[str] = None
 def broadcast_engine() -> str:
     """The engine broadcast runners will use in this process.
 
-    Resolution order: the process-wide override installed by
-    :func:`set_broadcast_engine` (how ``--engine`` reaches worker
-    processes), then :data:`BROADCAST_ENGINE_ENV`, then ``"auto"``.
+    Resolution order: the in-process override installed by
+    :func:`set_broadcast_engine` (``execute_unit(engine=)`` brackets a
+    unit with it), then :data:`BROADCAST_ENGINE_ENV`, then
+    ``"batched"``.
     """
     if _ENGINE_OVERRIDE is not None:
         return _ENGINE_OVERRIDE
     value = os.environ.get(BROADCAST_ENGINE_ENV, "").strip().lower()
-    return value if value in ENGINES else "auto"
+    return value if value in ENGINES else "batched"
 
 
 def set_broadcast_engine(engine: Optional[str]) -> Optional[str]:
     """Install (or with ``None`` clear) the engine override.
 
-    Returns the previous override so callers can restore it; the
-    campaign pool brackets each unit execution this way.
+    Returns the previous override so callers can restore it;
+    ``execute_unit(engine=)`` brackets one unit this way.
     """
     global _ENGINE_OVERRIDE
     if engine is not None and engine not in ENGINES:
@@ -178,7 +178,7 @@ def _broadcast_source_results(
             ports_override=spec.param("ports_override"),
         )
     else:
-        # "batched" and "auto": the structure-of-arrays sweep, which
+        # "batched": the structure-of-arrays sweep, which
         # re-runs ineligible sources (adaptive schedules, failed
         # dynamic checks) event-driven per source — records are
         # bit-identical either way, hashes included.

@@ -10,7 +10,7 @@ run a parallel, resumable campaign (results land in a pluggable store
 — JSONL, SQLite or a lease-arbitrated shared directory — and a re-run
 skips every already-completed unit)::
 
-    repro campaign run fig4 --scale full --workers 8 --schedule adaptive
+    repro campaign run fig4 --scale full --workers 8
     repro campaign run fig4 --scale full --store-backend sqlite
     repro campaign status fig4 --scale full
     repro campaign aggregate fig4 --scale full --out fig4.csv
@@ -38,8 +38,8 @@ or run a one-off broadcast and print its profile::
 
     repro broadcast --algo AB --dims 8x8x8 --source 3,4,5
 
-See ``docs/campaigns.md`` for store backends, scheduling policies and
-the multi-host lease protocol.
+See ``docs/campaigns.md`` for store backends, dispatch order and the
+multi-host lease protocol.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import List, Optional
 
 from repro.analysis.comparison import compare_algorithms
 from repro.campaigns.aggregate import aggregate, failed_records
-from repro.campaigns.pool import SCHEDULES, TooManyFailuresError, run_campaign
+from repro.campaigns.pool import TooManyFailuresError, run_campaign
 from repro.campaigns.remote import DEFAULT_PORT, StoreUnreachableError
 from repro.campaigns.store import (
     BACKENDS,
@@ -59,7 +59,6 @@ from repro.campaigns.store import (
     default_store_path,
     open_store,
 )
-from repro.campaigns.units import ENGINES
 from repro.core.adaptive_broadcast import AdaptiveBroadcast
 from repro.core.executors import EventDrivenExecutor
 from repro.core.registry import algorithm_names, get_algorithm
@@ -141,19 +140,6 @@ def _add_experiment_options(
         ),
     )
     parser.add_argument(
-        "--engine",
-        default="auto",
-        choices=list(ENGINES),
-        help=(
-            "broadcast execution engine: 'batched' advances a cell's"
-            " sources together through the flat-array sweep (falling"
-            " back per source where exactness cannot be proved),"
-            " 'event' forces the per-source event-driven path, 'auto'"
-            " (default) batches whenever eligible; results are"
-            " bit-identical either way"
-        ),
-    )
-    parser.add_argument(
         "--store-backend",
         default=None,
         choices=sorted(BACKENDS) + ["http"],
@@ -207,15 +193,9 @@ def _add_experiment_options(
             type=_positive_int,
             default=1,
             metavar="N",
-            help="shard simulation units over N worker processes",
-        )
-        parser.add_argument(
-            "--schedule",
-            default="fifo",
-            choices=SCHEDULES,
             help=(
-                "unit dispatch order: declaration order (fifo) or"
-                " largest-estimated-cost first (adaptive)"
+                "shard simulation units over N worker processes; with"
+                " N > 1 the largest estimated units start first"
             ),
         )
 
@@ -301,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("aggregate", "rebuild result rows from a (complete) store"),
         (
             "fit-cost",
-            "fit the adaptive scheduler's cost model from stored timings",
+            "fit the cost model that orders pooled runs from stored timings",
         ),
         (
             "trace",
@@ -362,8 +342,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 metavar="FILE",
                 help=(
                     "where to write the fitted model (default:"
-                    " campaigns/cost_model.json, which --schedule"
-                    " adaptive picks up automatically)"
+                    " campaigns/cost_model.json, which runs with"
+                    " --workers > 1 pick up automatically)"
                 ),
             )
         if action == "trace":
@@ -524,18 +504,24 @@ def _save(rows, out: Optional[str]) -> None:
         print(f"\nrows saved to {path}")
 
 
-def _campaign_store(args, spec) -> CampaignStore:
+def _campaign_store(
+    args, spec, default_backend: Optional[str] = "jsonl"
+) -> Optional[CampaignStore]:
     """Resolve --store/--store-backend to a concrete store.
 
     An explicit path or URL wins (backend inferred from its suffix /
     scheme unless --store-backend pins it); otherwise the backend's
-    conventional ``campaigns/<name>.<ext>`` location is used (jsonl by
-    default).  The http backend has no conventional location — it
-    always needs the coordinator's URL.
+    conventional ``campaigns/<name>.<ext>`` location is used, with
+    ``default_backend`` standing in for an absent --store-backend
+    (``None``: no store at all, the experiment commands' default).
+    The http backend has no conventional location — it always needs
+    the coordinator's URL.
     """
     if args.store:
         return open_store(args.store, args.store_backend)
-    backend = args.store_backend or "jsonl"
+    backend = args.store_backend or default_backend
+    if backend is None:
+        return None
     if backend == "http":
         raise SystemExit(
             "repro: --store-backend http needs the coordinator's URL:"
@@ -901,7 +887,7 @@ def _cmd_fit_cost(args, spec) -> int:
     model.save(out)
     print(model.describe())
     print(
-        f"model written to {out} — `--schedule adaptive` uses it"
+        f"model written to {out} — runs with --workers > 1 use it"
         f" automatically ({len(stores)} store(s), {len(records)} records)"
     )
     return 0
@@ -1122,13 +1108,11 @@ def _cmd_campaign(args) -> int:
             workers=args.workers,
             store=store,
             progress=print,
-            schedule=args.schedule,
             cache=_campaign_caches(args, spec),
             shards=args.shards,
             trace_dir=trace_dir,
             retries=args.retries,
             max_failures=args.max_failures,
-            engine=args.engine,
         )
         if trace_dir is not None:
             print(
@@ -1222,21 +1206,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         spec = campaign_for(
             args.command, args.scale, args.seed, shards=args.shards
         )
-        store = None
-        if args.store or args.store_backend:
-            backend = args.store_backend
-            if args.store:
-                store = open_store(args.store, backend)
-            elif backend == "http":
-                raise SystemExit(
-                    "repro: --store-backend http needs the coordinator's"
-                    " URL: --store http://host:port (start one with"
-                    " `repro campaign serve`)"
-                )
-            else:
-                store = open_store(
-                    default_store_path(spec.name, backend), backend
-                )
+        store = _campaign_store(args, spec, default_backend=None)
         trace_dir = _trace_dir(args, spec, store)
         rows, text = run_experiment(
             args.command,
@@ -1244,13 +1214,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.seed,
             workers=args.workers,
             store=store,
-            schedule=args.schedule,
             shards=args.shards,
             spec=spec,
             trace_dir=trace_dir,
             retries=args.retries,
             max_failures=args.max_failures,
-            engine=args.engine,
         )
         print(text)
         if trace_dir is not None:

@@ -13,8 +13,8 @@ The design choices the paper mentions but does not isolate:
   algorithm the same port budget isolates the benefit.
 
 Each ablation declares a value × algorithm × source unit grid and runs
-through the campaign engine (``workers``/``store``/``schedule``
-parallelise, resume and reorder it like any other campaign).
+through the campaign engine (``workers``/``store`` parallelise and
+resume it like any other campaign).
 """
 
 from __future__ import annotations
@@ -55,24 +55,6 @@ class AblationRow:
     samples: int
 
 
-def _run(
-    spec: CampaignSpec,
-    experiment: str,
-    workers: int,
-    store: Optional[CampaignStore],
-    schedule: str = "fifo",
-    shards: int | str = 1,
-) -> List[AblationRow]:
-    return run_units(
-        experiment,
-        spec,
-        workers=workers,
-        store=store,
-        schedule=schedule,
-        shards=shards,
-    )
-
-
 def startup_ablation_campaign(
     scale: str | ExperimentScale = "quick",
     seed: int = 0,
@@ -104,14 +86,15 @@ def run_startup_latency_ablation(
     *,
     workers: int = 1,
     store: Optional[CampaignStore] = None,
-    schedule: str = "fifo",
     shards: int | str = 1,
 ) -> List[AblationRow]:
     """Latency/CV of all four algorithms at both paper Ts values."""
     spec = startup_ablation_campaign(
         scale, seed, startup_values, length_flits, shards
     )
-    return _run(spec, "ablation-startup", workers, store, schedule, shards)
+    return run_units(
+        "ablation-startup", spec, workers=workers, store=store, shards=shards
+    )
 
 
 def length_ablation_campaign(
@@ -137,12 +120,13 @@ def run_message_length_ablation(
     *,
     workers: int = 1,
     store: Optional[CampaignStore] = None,
-    schedule: str = "fifo",
     shards: int | str = 1,
 ) -> List[AblationRow]:
     """The paper's stated 32–2048-flit message-length range."""
     spec = length_ablation_campaign(scale, seed, lengths, shards)
-    return _run(spec, "ablation-length", workers, store, schedule, shards)
+    return run_units(
+        "ablation-length", spec, workers=workers, store=store, shards=shards
+    )
 
 
 def maxdest_ablation_campaign(
@@ -176,12 +160,13 @@ def run_max_destinations_ablation(
     *,
     workers: int = 1,
     store: Optional[CampaignStore] = None,
-    schedule: str = "fifo",
     shards: int | str = 1,
 ) -> List[AblationRow]:
     """AB's per-path destination bound: long worms vs many worms."""
     spec = maxdest_ablation_campaign(scale, seed, limits, length_flits, shards)
-    return _run(spec, "ablation-maxdest", workers, store, schedule, shards)
+    return run_units(
+        "ablation-maxdest", spec, workers=workers, store=store, shards=shards
+    )
 
 
 def ports_ablation_campaign(
@@ -215,9 +200,10 @@ def run_port_count_ablation(
     *,
     workers: int = 1,
     store: Optional[CampaignStore] = None,
-    schedule: str = "fifo",
     shards: int | str = 1,
 ) -> List[AblationRow]:
     """Every algorithm at every port budget (EDN's multiport advantage)."""
     spec = ports_ablation_campaign(scale, seed, ports, length_flits, shards)
-    return _run(spec, "ablation-ports", workers, store, schedule, shards)
+    return run_units(
+        "ablation-ports", spec, workers=workers, store=store, shards=shards
+    )

@@ -307,21 +307,19 @@ def run_units(
     *,
     workers: int = 1,
     store: Optional[CampaignStore] = None,
-    schedule: str = "fifo",
     cache: Sequence[CampaignStore] = (),
     shards: int | str = 1,
     progress: Optional[ProgressFn] = None,
     trace_dir: Optional[Any] = None,
     retries: int = 2,
     max_failures: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> List[Any]:
     """Execute a declared campaign and aggregate it into result rows.
 
     The one shared execution path behind every ``run_*`` experiment
     function: dispatch through :func:`repro.campaigns.run_campaign`
-    (which honours workers, store backend, scheduling policy, cache
-    stores, the broadcast-cell fan-out request ``shards``, the
+    (which honours workers, store backend, cache stores, the
+    broadcast-cell fan-out request ``shards``, the
     ``trace_dir`` span spool, and the ``retries``/``max_failures``
     failure budget) and fold the records back into the experiment's
     row dataclasses.  Rows are identical for any combination of the
@@ -336,14 +334,12 @@ def run_units(
         spec,
         workers=workers,
         store=store,
-        schedule=schedule,
         cache=cache,
         shards=shards,
         progress=progress,
         trace_dir=trace_dir,
         retries=retries,
         max_failures=max_failures,
-        engine=engine,
     )
     failed = failed_records(records)
     for record in failed:

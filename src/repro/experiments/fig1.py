@@ -69,9 +69,7 @@ def run_fig1(
     *,
     workers: int = 1,
     store: Optional[CampaignStore] = None,
-    schedule: str = "fifo",
     shards: int | str = 1,
-    engine: Optional[str] = None,
 ) -> List[Fig1Row]:
     """Regenerate the Fig. 1 series (via the campaign engine)."""
     return run_units(
@@ -79,9 +77,7 @@ def run_fig1(
         fig1_campaign(scale, seed, shards),
         workers=workers,
         store=store,
-        schedule=schedule,
         shards=shards,
-        engine=engine,
     )
 
 

@@ -71,9 +71,7 @@ def run_fig2(
     *,
     workers: int = 1,
     store: Optional[CampaignStore] = None,
-    schedule: str = "fifo",
     shards: int | str = 1,
-    engine: Optional[str] = None,
 ) -> List[Fig2Row]:
     """Regenerate the Fig. 2 series (via the campaign engine)."""
     return run_units(
@@ -81,9 +79,7 @@ def run_fig2(
         fig2_campaign(scale, seed, length_flits, shards),
         workers=workers,
         store=store,
-        schedule=schedule,
         shards=shards,
-        engine=engine,
     )
 
 

@@ -5,8 +5,8 @@ figures (or one of our ablations) and returns ``(rows, rendered_text)``.
 Every experiment is a *campaign* — a declarative grid of independent
 simulation units — so all of them accept ``workers`` (process pool),
 ``store`` (any resumable :class:`~repro.campaigns.store.CampaignStore`
-backend), ``schedule`` (fifo/adaptive dispatch order) and ``cache``
-(prior stores to reuse overlapping results from); see
+backend) and ``cache`` (prior stores to reuse overlapping results
+from); see
 :mod:`repro.campaigns`.
 """
 
@@ -140,14 +140,12 @@ def run_experiment(
     workers: int = 1,
     store: Optional[CampaignStore] = None,
     progress: Optional[ProgressFn] = None,
-    schedule: str = "fifo",
     cache: Sequence[CampaignStore] = (),
     shards: int | str = 1,
     spec: Optional[CampaignSpec] = None,
     trace_dir: Optional[Any] = None,
     retries: int = 2,
     max_failures: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> Tuple[List[Any], str]:
     """Regenerate one table/figure; returns (rows, rendered text).
 
@@ -168,13 +166,11 @@ def run_experiment(
         spec,
         workers=workers,
         store=store,
-        schedule=schedule,
         cache=cache,
         shards=shards,
         progress=progress,
         trace_dir=trace_dir,
         retries=retries,
         max_failures=max_failures,
-        engine=engine,
     )
     return rows, FORMATTERS[experiment_id](rows)

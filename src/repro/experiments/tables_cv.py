@@ -84,7 +84,6 @@ def run_cv_table(
     *,
     workers: int = 1,
     store: Optional[CampaignStore] = None,
-    schedule: str = "fifo",
     shards: int | str = 1,
 ) -> List[CVTableRow]:
     """Regenerate Table 1 (``proposed="DB"``) or Table 2 (``"AB"``)."""
@@ -94,7 +93,6 @@ def run_cv_table(
         cv_table_campaign(proposed, scale, seed, shards),
         workers=workers,
         store=store,
-        schedule=schedule,
         shards=shards,
     )
 

@@ -106,14 +106,11 @@ def run_traffic_sweep(
     *,
     workers: int = 1,
     store: Optional[CampaignStore] = None,
-    schedule: str = "fifo",
     shards: int | str = 1,
 ) -> List[TrafficSweepRow]:
     """Regenerate the Fig. 3 (8×8×8) or Fig. 4 (16×16×8) curves."""
     spec = traffic_campaign(figure, scale, seed, loads, algorithms, shards)
-    return run_units(
-        figure.lower(), spec, workers=workers, store=store, schedule=schedule
-    )
+    return run_units(figure.lower(), spec, workers=workers, store=store)
 
 
 def format_traffic_sweep(rows: List[TrafficSweepRow]) -> str:

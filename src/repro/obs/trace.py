@@ -514,7 +514,11 @@ def summarize_trace(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
                 failures[name] = failures.get(name, 0) + 1
             unit = args.get("unit")
             if unit is not None and record["name"] == "lease.claim":
-                claims.setdefault(unit, record["ts_s"])
+                # The earliest claim, not the first one read: a pool that
+                # absorbs a peer's landed record logs a late claim too,
+                # and its spool file may sort first.
+                ts = record["ts_s"]
+                claims[unit] = min(ts, claims.get(unit, ts))
 
     for unit, claimed_s in claims.items():
         entry = units.get(unit)

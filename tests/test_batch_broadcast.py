@@ -15,7 +15,14 @@ import os
 
 import pytest
 
-from repro.campaigns import UnitSpec, execute_unit, freeze_params
+from repro.campaigns import (
+    CampaignSpec,
+    UnitSpec,
+    execute_unit,
+    freeze_params,
+    register_unit_runner,
+    run_campaign,
+)
 from repro.campaigns.costmodel import (
     FEATURE_NAMES,
     CostModel,
@@ -193,11 +200,11 @@ def test_faulty_channel_on_path_raises_like_event_engine():
 
 # ---------------------------------------------------------- engine knob
 def test_engine_resolution_order(monkeypatch):
-    assert broadcast_engine() == "auto"
+    assert broadcast_engine() == "batched"
     monkeypatch.setenv(BROADCAST_ENGINE_ENV, "event")
     assert broadcast_engine() == "event"
     monkeypatch.setenv(BROADCAST_ENGINE_ENV, "bogus")
-    assert broadcast_engine() == "auto"
+    assert broadcast_engine() == "batched"
     monkeypatch.setenv(BROADCAST_ENGINE_ENV, "event")
     previous = set_broadcast_engine("batched")
     assert previous is None
@@ -207,9 +214,11 @@ def test_engine_resolution_order(monkeypatch):
 
 
 def test_set_broadcast_engine_rejects_unknown():
-    with pytest.raises(ValueError):
-        set_broadcast_engine("vectorised")
-    assert "vectorised" not in ENGINES
+    # "auto" was an alias of "batched" and is gone.
+    for name in ("vectorised", "auto"):
+        with pytest.raises(ValueError):
+            set_broadcast_engine(name)
+        assert name not in ENGINES
 
 
 def cell_spec(**overrides) -> UnitSpec:
@@ -232,10 +241,9 @@ def test_execute_unit_engine_records_identical():
     # result dict — bytes included — whichever engine executes it.
     event = execute_unit(cell_spec(), engine="event")
     batched = execute_unit(cell_spec(), engine="batched")
-    auto = execute_unit(cell_spec(), engine="auto")
-    assert event.unit_hash == batched.unit_hash == auto.unit_hash
-    assert event.result == batched.result == auto.result
-    assert broadcast_engine() == "auto"  # bracket restored the default
+    assert event.unit_hash == batched.unit_hash
+    assert event.result == batched.result
+    assert broadcast_engine() == "batched"  # bracket restored the default
 
 
 def test_execute_unit_rejects_unknown_engine():
@@ -250,15 +258,43 @@ def test_engine_not_part_of_unit_hash():
     assert "engine" not in cell_spec().as_dict().get("params", {})
 
 
+@register_unit_runner("engine-probe")
+def _report_engine(spec):
+    return {"engine": broadcast_engine()}
+
+
+def test_pool_workers_take_engine_from_environment(monkeypatch):
+    # REPRO_BROADCAST_ENGINE is the one run-wide engine switch: pool
+    # workers inherit the environment, so every unit sees it.
+    monkeypatch.setenv(BROADCAST_ENGINE_ENV, "event")
+    units = tuple(
+        UnitSpec(
+            experiment="engine-probe",
+            kind="engine-probe",
+            algorithm="DB",
+            dims=(4, 4),
+            length_flits=16,
+            seed=0,
+            replication=r,
+        )
+        for r in range(4)
+    )
+    records = run_campaign(
+        CampaignSpec(name="engine-probe", seed=0, units=units), workers=2
+    )
+    assert [r.result["engine"] for r in records] == ["event"] * 4
+
+
 # ----------------------------------------------------------- cost model
 def test_cost_features_engine_indicator():
     assert FEATURE_NAMES[-1] == "engine_batched"
     spec = cell_spec()
-    assert cost_features(spec, engine="event")[-1] == 0.0
-    assert cost_features(spec, engine="batched")[-1] == 1.0
-    assert cost_features(spec, engine="auto")[-1] == 1.0
+    set_broadcast_engine("event")
+    assert cost_features(spec)[-1] == 0.0
+    set_broadcast_engine("batched")
+    assert cost_features(spec)[-1] == 1.0
     ab = cell_spec(algorithm="AB")
-    assert cost_features(ab, engine="batched")[-1] == 0.0
+    assert cost_features(ab)[-1] == 0.0
     traffic = UnitSpec(
         experiment="fig3",
         kind="traffic",
@@ -269,15 +305,14 @@ def test_cost_features_engine_indicator():
         load=1.0,
         params=freeze_params(batch_size=5, num_batches=3),
     )
-    assert cost_features(traffic, engine="batched")[-1] == 0.0
+    assert cost_features(traffic)[-1] == 0.0
 
 
-def test_cost_features_default_engine_tracks_process_knob():
+def test_cost_features_default_engine_tracks_process_knob(monkeypatch):
     spec = cell_spec()
-    set_broadcast_engine("event")
+    assert cost_features(spec)[-1] == 1.0  # the batched default
+    monkeypatch.setenv(BROADCAST_ENGINE_ENV, "event")
     assert cost_features(spec)[-1] == 0.0
-    set_broadcast_engine("batched")
-    assert cost_features(spec)[-1] == 1.0
 
 
 def test_legacy_cost_model_weights_still_predict():
@@ -293,9 +328,7 @@ def test_legacy_cost_model_weights_still_predict():
         r_squared=0.9,
     )
     spec = cell_spec()
-    assert legacy.predict(spec, engine="batched") == full.predict(
-        spec, engine="batched"
-    )
+    assert legacy.predict(spec) == full.predict(spec)
 
 
 def test_legacy_cost_model_file_rejected_with_clear_error():
@@ -309,9 +342,11 @@ def test_legacy_cost_model_file_rejected_with_clear_error():
 
 
 # ------------------------------------------------------------ end to end
-def test_fig1_smoke_rows_identical_across_engines():
+def test_fig1_smoke_rows_identical_across_engines(monkeypatch):
     from repro.experiments.fig1 import run_fig1
 
-    event = run_fig1("smoke", 0, engine="event")
-    batched = run_fig1("smoke", 0, engine="batched")
+    monkeypatch.setenv(BROADCAST_ENGINE_ENV, "event")
+    event = run_fig1("smoke", 0)
+    monkeypatch.setenv(BROADCAST_ENGINE_ENV, "batched")
+    batched = run_fig1("smoke", 0)
     assert event == batched

@@ -1,8 +1,8 @@
-"""Tests for the pluggable store backends and the adaptive scheduler.
+"""Tests for the pluggable store backends and dispatch ordering.
 
 Covers backend parity (identical records and aggregates across
 jsonl/sqlite/shared-dir), two concurrent pools draining one campaign
-with no unit executed twice, adaptive-order determinism, the
+with no unit executed twice, dispatch-order determinism, the
 cross-scale cache, and the backend-aware CLI surface.
 
 The per-backend `CampaignStore` contract itself (claim exclusivity,
@@ -12,6 +12,7 @@ against all four backends — including http — by
 ``test_store_conformance.py``.
 """
 
+import json
 import threading
 import time
 
@@ -36,6 +37,7 @@ from repro.campaigns import (
 from repro.campaigns.pool import register_unit_runner
 from repro.cli import main
 from repro.experiments.common import broadcast_units
+from repro.obs.trace import read_trace_dir
 
 ALL_BACKENDS = sorted(BACKENDS)
 
@@ -228,8 +230,8 @@ def test_adaptive_order_is_deterministic_and_largest_first():
     units = broadcast_units(
         "fig1", [(4, 4, 4), (16, 16, 16), (8, 8, 8)], ["DB"], 64, "smoke", 0
     )
-    ordered = order_units(units, "adaptive")
-    assert ordered == order_units(units, "adaptive")  # deterministic
+    ordered = order_units(units, workers=2)
+    assert ordered == order_units(units, workers=2)  # deterministic
     assert sorted(ordered, key=lambda u: u.unit_hash) == sorted(
         units, key=lambda u: u.unit_hash
     )  # a permutation, nothing dropped
@@ -244,11 +246,11 @@ def test_adaptive_order_is_deterministic_and_largest_first():
 
 
 def test_order_units_fifo_and_unknown():
+    # One worker keeps declaration order; order is no longer a knob,
+    # so run_campaign rejects the old keyword outright.
     units = broadcast_units("fig1", [(4, 4, 4)], ["DB"], 64, "smoke", 0)
-    assert order_units(units, "fifo") == list(units)
-    with pytest.raises(ValueError):
-        order_units(units, "lifo")
-    with pytest.raises(ValueError):
+    assert order_units(units) == order_units(units, workers=1) == list(units)
+    with pytest.raises(TypeError):
         run_campaign(small_campaign(), schedule="lifo")
 
 
@@ -281,10 +283,39 @@ def test_cost_estimate_reflects_load_length_and_barrier():
 
 
 def test_schedules_produce_identical_records():
+    # A pooled run dispatches in LPT order, a serial one in declaration
+    # order: the records are the same.
     spec = small_campaign(seed=4)
-    assert run_campaign(spec, schedule="adaptive") == run_campaign(
-        spec, schedule="fifo"
+    assert run_campaign(spec, workers=2) == run_campaign(spec)
+
+
+def test_pooled_run_claims_lpt_and_serial_run_appends_in_order(tmp_path):
+    units = broadcast_units(
+        "fig1", [(4, 4, 4), (8, 8, 8)], ["RD", "DB"], 64, "smoke", 0
     )
+    spec = CampaignSpec(name="order", seed=0, units=tuple(units))
+
+    spool = tmp_path / "spool"
+    run_campaign(
+        spec, workers=2, store=SqliteStore(tmp_path / "c.sqlite"),
+        trace_dir=spool,
+    )
+    claimed = [
+        r["args"]["unit"]
+        for r in read_trace_dir(spool)
+        if r.get("type") == "event" and r["name"] == "lease.claim"
+    ]
+    lpt = [u.unit_hash for u in order_units(units, workers=2)]
+    assert claimed == lpt
+    assert lpt != spec.unit_hashes()  # the grid declares 8x8x8 last
+
+    store = JsonlStore(tmp_path / "serial.jsonl")
+    run_campaign(spec, store=store)
+    appended = [
+        json.loads(line)["unit_hash"]
+        for line in store.path.read_text().splitlines()
+    ]
+    assert appended == spec.unit_hashes()
 
 
 # ---------------------------------------------------------------- cache
@@ -324,7 +355,7 @@ def test_cli_backends_byte_identical_aggregates(tmp_path, capsys):
         assert main(
             [
                 "campaign", "run", "fig1", "--scale", "smoke",
-                "--workers", "2", "--schedule", "adaptive",
+                "--workers", "2",
                 "--store", store, "--store-backend", backend,
                 "--out", str(out_file),
             ]
@@ -379,8 +410,7 @@ def test_cli_experiment_store_backend_and_schedule(tmp_path, capsys):
     store = str(tmp_path / "fig1.sqlite")
     assert main(
         [
-            "fig1", "--scale", "smoke", "--workers", "2",
-            "--schedule", "adaptive", "--store", store,
+            "fig1", "--scale", "smoke", "--workers", "2", "--store", store,
         ]
     ) == 0
     assert "Fig. 1" in capsys.readouterr().out

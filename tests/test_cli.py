@@ -79,6 +79,36 @@ def test_cli_rejects_unknown_algo():
         main(["broadcast", "--algo", "XYZ"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig1", "--engine", "event"],
+        ["campaign", "run", "fig1", "--schedule", "adaptive"],
+    ],
+)
+def test_cli_rejects_removed_dispatch_flags(argv, capsys):
+    # The engine is REPRO_BROADCAST_ENGINE and dispatch order follows
+    # --workers; neither is a flag.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_help_lists_no_engine_or_schedule(capsys):
+    from repro.experiments.runner import EXPERIMENTS
+
+    actions = ("run", "status", "aggregate", "fit-cost", "trace", "retry-failed")
+    commands = [[name] for name in EXPERIMENTS]
+    commands += [["campaign", action] for action in actions]
+    for command in commands:
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--engine" not in out and "--schedule" not in out, command
+
+
 def test_cli_broadcast_profile(capsys):
     assert main(
         ["broadcast", "--algo", "DB", "--dims", "4x4x4", "--profile"]

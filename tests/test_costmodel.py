@@ -115,11 +115,11 @@ def test_order_units_adaptive_with_model_is_deterministic():
         _unit((16, 16, 16), length=2048, rep=2),
         _unit((8, 8, 8), length=100, rep=3),
     ]
-    ordered = order_units(units, "adaptive", model)
+    ordered = order_units(units, 2, model)
     assert [math.prod(u.dims) for u in ordered] == [4096, 512, 16]
-    assert order_units(units, "adaptive", model) == ordered
-    # fifo ignores the model entirely.
-    assert order_units(units, "fifo", model) == units
+    assert order_units(units, 2, model) == ordered
+    # A serial run ignores the model entirely.
+    assert order_units(units, 1, model) == units
 
 
 def test_traffic_features_scale_with_batch_budget():
@@ -219,7 +219,7 @@ def test_broadcast_cell_features_scale_with_sources():
 
 
 def test_cli_fit_cost_end_to_end(tmp_path, monkeypatch, capsys):
-    """fit-cost writes the model and adaptive runs pick it up."""
+    """fit-cost writes the model and pooled runs pick it up."""
     from repro.cli import main
 
     monkeypatch.chdir(tmp_path)
@@ -229,9 +229,9 @@ def test_cli_fit_cost_end_to_end(tmp_path, monkeypatch, capsys):
     assert "cost model:" in out and "campaigns/cost_model.json" in out
     assert (tmp_path / "campaigns" / "cost_model.json").exists()
     assert load_default_cost_model() is not None
-    # A later adaptive run reports the fitted model in its progress.
+    # A later pooled run reports the fitted model in its progress.
     assert (
-        main(["campaign", "run", "fig1", "--scale", "smoke", "--schedule", "adaptive"])
+        main(["campaign", "run", "fig1", "--scale", "smoke", "--workers", "2"])
         == 0
     )
     assert "using fitted cost model" in capsys.readouterr().out

@@ -33,7 +33,7 @@ def test_docs_cover_the_campaign_surface():
         "sqlite",
         "shared",
         "try_claim",
-        "adaptive",
+        "order_units",
         "--store-backend",
         "lease",
         "cache",

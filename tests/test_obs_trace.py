@@ -6,8 +6,10 @@ producer-side behaviours that ride on them: the lease heartbeat's
 failure surfacing and the always-on kernel profile counters.
 """
 
+import importlib.util
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -197,3 +199,45 @@ def test_summarize_trace_units_and_queueing():
     assert unit["spans"]["unit.merge"] == 1.0
     assert unit["queued_s"] == 1.0  # claimed t=1, execute started t=2
     assert summary["wall_s"] > 0
+
+
+def _write_spool(path, pid, role, *records):
+    lines = [
+        {"type": "meta", "schema": TRACE_SCHEMA, "role": role, "pid": pid,
+         "ts_s": 0.0}
+    ]
+    lines += [{"pid": pid, "tid": 1, "parent": None, **r} for r in records]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+
+
+def test_earliest_claim_wins_across_spool_files(tmp_path):
+    """A pool that absorbs a peer's landed record still logs a claim.
+
+    That pool's spool (pool-100) sorts before the executing pool's
+    (pool-200), so the first claim read is the late one; both checks
+    must use the earliest.
+    """
+    campaign = {"type": "span", "name": "campaign", "cat": "campaign",
+                "id": 1, "start_s": 0.0, "end_s": 10.0, "args": {}}
+
+    def claim(ts):
+        return {"type": "event", "name": "lease.claim", "cat": "lease",
+                "ts_s": ts, "args": {"unit": "u1"}}
+
+    execute = {"type": "span", "name": "unit.execute", "cat": "unit",
+               "id": 1, "start_s": 2.0, "end_s": 3.0, "args": {"unit": "u1"}}
+    _write_spool(tmp_path / "pool-100.jsonl", 100, "pool", campaign, claim(5.0))
+    _write_spool(tmp_path / "pool-200.jsonl", 200, "pool", campaign, claim(1.0))
+    _write_spool(tmp_path / "worker-300.jsonl", 300, "worker", execute)
+
+    summary = summarize_trace(read_trace_dir(tmp_path))
+    assert summary["units"]["u1"]["queued_s"] == 1.0
+
+    script = Path(__file__).resolve().parent.parent / "tools" / "check_trace.py"
+    module_spec = importlib.util.spec_from_file_location("check_trace", script)
+    check_trace = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(check_trace)
+    records, problems = check_trace.check_spool(tmp_path)
+    structure, counts = check_trace.check_structure(records)
+    assert problems == [] and structure == []
+    assert counts["claimed"] == 1

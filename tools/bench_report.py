@@ -97,12 +97,20 @@ def _batch_workloads():
 
 
 def _fig1_workloads():
-    # fig1_smoke/fig2_smoke run the shipped default (--engine auto, so
-    # eligible cells take the batched sweep); the *_event twins force
-    # the per-source event engine on the same grids, so one report
-    # records the end-to-end engine win alongside the kernel ratios.
+    # fig1_smoke/fig2_smoke run the shipped default (the batched
+    # engine); the *_event twins force the per-source event engine on
+    # the same grids, so one report records the end-to-end engine win
+    # alongside the kernel ratios.
+    from repro.campaigns.units import set_broadcast_engine
     from repro.experiments.fig1 import run_fig1
     from repro.experiments.fig2 import run_fig2
+
+    def on_event_engine(run):
+        previous = set_broadcast_engine("event")
+        try:
+            return run()
+        finally:
+            set_broadcast_engine(previous)
 
     return {
         "fig1_smoke": {
@@ -111,7 +119,9 @@ def _fig1_workloads():
             "warmup": 0,
         },
         "fig1_smoke_event": {
-            "fn": lambda: len(run_fig1(scale="smoke", seed=0, engine="event")),
+            "fn": lambda: len(
+                on_event_engine(lambda: run_fig1(scale="smoke", seed=0))
+            ),
             "rounds": 1,
             "warmup": 0,
         },
@@ -121,7 +131,9 @@ def _fig1_workloads():
             "warmup": 0,
         },
         "fig2_smoke_event": {
-            "fn": lambda: len(run_fig2(scale="smoke", seed=0, engine="event")),
+            "fn": lambda: len(
+                on_event_engine(lambda: run_fig2(scale="smoke", seed=0))
+            ),
             "rounds": 1,
             "warmup": 0,
         },

@@ -13,8 +13,8 @@ schema of :mod:`repro.obs.trace`:
   span falls inside a campaign span's wall-clock window (the
   cross-process monotonic-clock alignment the exporter relies on);
 * on lease-capable stores (any ``lease.*`` event present), every
-  executed unit was claimed or stolen first, and the claim precedes
-  the execute span's start;
+  executed unit was claimed or stolen first, and its earliest claim
+  precedes the execute span's start;
 * every ``unit.merge`` span names its unit and a shard count;
 * every ``rpc.*`` event (a distributed run through the HTTP
   coordinator) names the operation it carries;
@@ -137,8 +137,12 @@ def check_structure(records):
     for event in lease_events:
         if event["name"] in ("lease.claim", "lease.steal"):
             unit = event.get("args", {}).get("unit")
-            if unit is not None and unit not in claims:
-                claims[unit] = event["ts_s"]
+            if unit is not None:
+                # The earliest claim, not the first one read: a pool that
+                # absorbs a peer's landed record logs a late claim too,
+                # and its spool file may sort first.
+                ts = event["ts_s"]
+                claims[unit] = min(ts, claims.get(unit, ts))
     if lease_events:
         for span in executes:
             unit = span.get("args", {}).get("unit")
