@@ -6,8 +6,9 @@ same ordered list of :class:`~repro.core.executors.BroadcastOutcome`
 results, the same floats bit for bit — but eligible sources advance
 together through the structure-of-arrays sweep of
 :mod:`repro.sim.batch` instead of each paying for a fresh
-:class:`~repro.network.network.NetworkSimulator` (thousands of node /
-channel / resource objects) and a private event heap.
+:class:`~repro.network.network.NetworkSimulator` (a node object per
+coordinate, a channel object per link it uses) and a private event
+heap.
 
 Fallback mirrors the hop-batched wormhole walk's guard philosophy:
 whenever exactness cannot be *proved*, the affected source silently
@@ -35,6 +36,7 @@ import numpy as np
 from repro.core.adaptive_broadcast import AdaptiveBroadcast
 from repro.core.executors import BroadcastOutcome, EventDrivenExecutor
 from repro.core.registry import get_algorithm
+from repro.core.schedule import BroadcastSchedule
 from repro.network.network import NetworkConfig, NetworkSimulator
 from repro.network.topology import Mesh
 from repro.sim.batch import plan_broadcast, sweep_broadcasts
@@ -46,12 +48,16 @@ def _event_outcome(
     mesh: Mesh,
     algorithm,
     config: NetworkConfig,
-    source: Tuple[int, ...],
+    schedule: BroadcastSchedule,
     length_flits: int,
     faults: Sequence[Tuple[Tuple[int, ...], Tuple[int, ...]]],
 ) -> BroadcastOutcome:
-    """One event-driven broadcast, exactly as ``run_single_broadcasts``."""
-    schedule = algorithm.schedule(source)
+    """One event-driven broadcast, exactly as ``run_single_broadcasts``.
+
+    ``schedule`` is ``algorithm.schedule(source)``; schedules are
+    read-only, so a source that was planned for the sweep and fell
+    back hands its plan's schedule over instead of rebuilding it.
+    """
     network = NetworkSimulator(mesh, config)
     if faults:
         from repro.network.faults import FaultModel
@@ -115,6 +121,8 @@ def run_batch_broadcasts(
     adaptive = bool(getattr(algorithm, "adaptive", False))
     outcomes: List[Optional[BroadcastOutcome]] = [None] * len(order)
     swept_ok = [False] * len(order)
+    # Schedules built for planning, reused by any source that falls back.
+    schedules: List[Optional[BroadcastSchedule]] = [None] * len(order)
 
     if not adaptive and not faults:
         node_index = {coord: i for i, coord in enumerate(mesh.nodes())}
@@ -122,9 +130,8 @@ def run_batch_broadcasts(
         plans = []
         plan_source = []
         for idx, source in enumerate(order):
-            plan = plan_broadcast(
-                algorithm.schedule(source), node_index, n_nodes
-            )
+            schedules[idx] = algorithm.schedule(source)
+            plan = plan_broadcast(schedules[idx], node_index, n_nodes)
             if plan is not None:
                 plans.append(plan)
                 plan_source.append(idx)
@@ -162,8 +169,9 @@ def run_batch_broadcasts(
 
     for idx, source in enumerate(order):
         if outcomes[idx] is None:
+            schedule = schedules[idx] or algorithm.schedule(source)
             outcomes[idx] = _event_outcome(
-                mesh, algorithm, config, source, length_flits, faults
+                mesh, algorithm, config, schedule, length_flits, faults
             )
 
     if profile is not None:

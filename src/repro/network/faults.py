@@ -88,9 +88,11 @@ class FaultModel:
         """Fault ``count`` distinct links chosen uniformly at random.
 
         Returns the (directed) ids of the primary channels failed.
+        Links are enumerated from the topology, so only the channels
+        actually failed get built on a lazily built network.
         """
         links = sorted(
-            {tuple(sorted((u, v))) for (u, v) in self.network.channels},
+            {tuple(sorted(link)) for link in self.network.topology.channels()}
         )
         if count > len(links):
             raise ValueError(f"only {len(links)} links exist, cannot fail {count}")

@@ -2,8 +2,8 @@
 
 :class:`NetworkSimulator` wires a topology to the simulation kernel:
 one :class:`~repro.network.node.Node` per coordinate, one
-:class:`~repro.network.channel.Channel` per directed link, shared
-timing constants, and delivery bookkeeping.  It is the object every
+:class:`~repro.network.channel.Channel` per directed link (built on
+first use), shared timing constants, and delivery bookkeeping.  It is the object every
 executor, traffic generator and experiment works through.
 """
 
@@ -67,6 +67,100 @@ class NetworkConfig:
         return ChannelTiming(flit_time=self.flit_time, router_delay=self.router_delay)
 
 
+class _LazyChannels(dict):
+    """The ``(u, v) → Channel`` mapping, each channel built on first use.
+
+    A single-source broadcast touches a fifth to a quarter of a 3-D
+    mesh's channels, so building all of them up front dominated the
+    cost of a fresh simulator.  A channel created mid-run is exactly
+    the one an eager build would hold at that moment: a pristine
+    ``Resource`` has no holders, no queue and 0 busy time whenever it
+    is created.
+
+    Hits are plain C-level dict lookups (the wormhole walk's hot
+    ``channels[(current, nxt)]``); only a miss reaches
+    :meth:`__missing__`, which asks the topology whether the channel
+    exists.  Every whole-mapping view — ``len``, iteration, ``keys`` /
+    ``values`` / ``items`` — first builds the rest and re-orders the
+    dict to ``topology.channels()`` order, so it reads exactly as the
+    eager dict did; ``in`` and ``get`` answer per key.
+    """
+
+    __slots__ = ("_topology", "_env", "_timing", "_complete")
+
+    def __init__(
+        self, topology: Topology, env: Environment, timing: ChannelTiming
+    ) -> None:
+        super().__init__()
+        self._topology = topology
+        self._env = env
+        self._timing = timing
+        self._complete = False
+
+    def __missing__(self, key) -> Channel:
+        # Stored under plain-int coordinates, as the eager build keyed
+        # them, whatever integer type the caller looked up with.
+        try:
+            u, v = key
+            u, v = tuple(map(int, u)), tuple(map(int, v))
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        topology = self._topology
+        if (u, v) != key or not (
+            topology.contains(u) and topology.are_adjacent(u, v)
+        ):
+            raise KeyError(key)
+        channel = Channel(self._env, u, v, self._timing)
+        dict.__setitem__(self, (u, v), channel)
+        return channel
+
+    def __contains__(self, key) -> bool:
+        try:
+            self[key]
+        except KeyError:
+            return False
+        return True
+
+    def get(self, key, default=None):
+        try:
+            return self[key]
+        except KeyError:
+            return default
+
+    def _build_all(self) -> None:
+        if self._complete:
+            return
+        env, timing = self._env, self._timing
+        # Pop-and-reinsert every channel in topology order: built ones
+        # keep their state, the rest are created pristine.
+        for key in self._topology.channels():
+            channel = dict.pop(self, key, None)
+            if channel is None:
+                channel = Channel(env, key[0], key[1], timing)
+            dict.__setitem__(self, key, channel)
+        self._complete = True
+
+    def __len__(self) -> int:
+        self._build_all()
+        return dict.__len__(self)
+
+    def __iter__(self):
+        self._build_all()
+        return dict.__iter__(self)
+
+    def keys(self):
+        self._build_all()
+        return dict.keys(self)
+
+    def values(self):
+        self._build_all()
+        return dict.values(self)
+
+    def items(self):
+        self._build_all()
+        return dict.items(self)
+
+
 class NetworkSimulator:
     """A simulated wormhole-switched interconnection network.
 
@@ -108,9 +202,11 @@ class NetworkSimulator:
             coord: Node(self.env, coord, ports=self.config.ports_per_node)
             for coord in topology.nodes()
         }
-        self.channels: Dict[Tuple[Coordinate, Coordinate], Channel] = {
-            (u, v): Channel(self.env, u, v, timing) for u, v in topology.channels()
-        }
+        # Nodes are eager (every broadcast delivers to every node);
+        # channels are built on first lookup — see _LazyChannels.
+        self.channels: Dict[Tuple[Coordinate, Coordinate], Channel] = _LazyChannels(
+            topology, self.env, timing
+        )
         self._delivery_hooks: List[Callable[[DeliveryRecord], None]] = []
         self._uid_hooks: Dict[int, Callable[[DeliveryRecord], None]] = {}
 

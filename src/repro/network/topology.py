@@ -137,9 +137,9 @@ class Mesh(Topology):
         """All directed channels, generated without per-node validation.
 
         Yields exactly the base-class order (nodes linearly, per axis
-        the ``c-1`` then ``c+1`` neighbour) — network construction
-        iterates this for every simulation unit, so it skips the
-        re-validation ``neighbors()`` performs on arbitrary input.
+        the ``c-1`` then ``c+1`` neighbour) — full channel views and
+        fault enumeration iterate this, so it skips the re-validation
+        ``neighbors()`` performs on arbitrary input.
         """
         dims = self.dims
         for coord in self.nodes():
@@ -148,6 +148,24 @@ class Mesh(Topology):
                     yield coord, coord[:axis] + (c - 1,) + coord[axis + 1 :]
                 if c < d - 1:
                     yield coord, coord[:axis] + (c + 1,) + coord[axis + 1 :]
+
+    def are_adjacent(self, u: Coordinate, v: Coordinate) -> bool:
+        """O(ndim) test: ``v`` differs from ``u`` by 1 on exactly one axis.
+
+        Same answers as the base class (and the same ``ValueError`` on
+        an invalid ``u``) without building ``u``'s neighbour list — a
+        lazily built network asks this once per channel it creates.
+        """
+        u = validate_coordinate(u, self.dims)
+        if len(v) != self.ndim:
+            return False
+        differing = 0
+        for a, b, d in zip(u, v, self.dims):
+            if a != b:
+                if abs(a - b) != 1 or not 0 <= b < d:
+                    return False
+                differing += 1
+        return differing == 1
 
     def distance(self, u: Coordinate, v: Coordinate) -> int:
         u = validate_coordinate(u, self.dims)
