@@ -791,6 +791,32 @@ def _run_campaign(
         tracer.event("unit.absorbed", cat="campaign", unit=record.unit_hash)
         _after_land(record.unit_hash)
 
+    def adopt(
+        unit: UnitSpec, existing: UnitRecord, holding_lease: bool
+    ) -> bool:
+        """Take over a record a peer pool stored for ``unit``.
+
+        An ok record is absorbed.  A failure record continues the
+        shared retry budget from its attempt ledger and quarantines the
+        unit once that budget is spent.  Returns ``True`` when the unit
+        is settled either way, ``False`` when it still needs running.
+        A lease we hold is released before the unit is settled.
+        """
+        if not existing.ok:
+            attempts[unit.unit_hash] = max(
+                attempts.get(unit.unit_hash, 0), existing.attempts
+            )
+            failures[unit.unit_hash] = existing
+            if attempts[unit.unit_hash] < retries + 1:
+                return False
+        if holding_lease:
+            store.release(unit.unit_hash, owner)
+        if existing.ok:
+            absorb(existing)
+        else:
+            quarantine(unit, existing)
+        return True
+
     def _after_land(unit_hash: str) -> None:
         """Merge a sharded parent once its last shard has landed."""
         parent_hash = shard_parent.get(unit_hash)
@@ -949,20 +975,10 @@ def _run_campaign(
                     # failure record, tells us how much of the shared
                     # retry budget is already spent.
                     existing = store.get(unit.unit_hash)
-                    if existing is not None:
-                        if existing.ok:
-                            store.release(unit.unit_hash, owner)
-                            absorb(existing)
-                            continue
-                        attempts[unit.unit_hash] = max(
-                            attempts.get(unit.unit_hash, 0),
-                            existing.attempts,
-                        )
-                        failures[unit.unit_hash] = existing
-                        if attempts[unit.unit_hash] >= retries + 1:
-                            store.release(unit.unit_hash, owner)
-                            quarantine(unit, existing)
-                            continue
+                    if existing is not None and adopt(
+                        unit, existing, holding_lease=True
+                    ):
+                        continue
                 if pool is None:
                     try:
                         with lease_heartbeat(
@@ -1038,22 +1054,10 @@ def _run_campaign(
                     ):
                         continue
                     peer_record = store.get(unit.unit_hash)
-                    if peer_record is None:
+                    if peer_record is None or not adopt(
+                        unit, peer_record, holding_lease=False
+                    ):
                         missing.append(unit)
-                    elif peer_record.ok:
-                        absorb(peer_record)
-                    else:
-                        # The peer's attempt failed: continue the
-                        # shared budget from its ledger.
-                        attempts[unit.unit_hash] = max(
-                            attempts.get(unit.unit_hash, 0),
-                            peer_record.attempts,
-                        )
-                        failures[unit.unit_hash] = peer_record
-                        if attempts[unit.unit_hash] >= retries + 1:
-                            quarantine(unit, peer_record)
-                        else:
-                            missing.append(unit)
                 deferred = []
                 if missing:
                     if progress and len(missing) != last_wait_note:

@@ -78,6 +78,9 @@ __all__ = ["main"]
 
 CAMPAIGN_HELP = "run experiment campaigns (parallel, resumable)"
 
+#: Fidelity levels every experiment declares, cheapest first.
+SCALES = ("smoke", "quick", "full")
+
 
 def _parse_dims(text: str):
     try:
@@ -122,9 +125,7 @@ def _nonneg_int(text: str) -> int:
 def _add_experiment_options(
     parser: argparse.ArgumentParser, workers: bool = True
 ) -> None:
-    parser.add_argument(
-        "--scale", default="quick", choices=["smoke", "quick", "full"]
-    )
+    parser.add_argument("--scale", default="quick", choices=SCALES)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--shards",
@@ -556,6 +557,19 @@ def _status_trace_dir(args, store: CampaignStore) -> Path:
     return trace_dir_for(store)
 
 
+def _default_layout_stores(args, scales, backends) -> List[CampaignStore]:
+    """Open every store of the experiment/seed that exists in the
+    default ``campaigns/`` layout, over ``scales`` x ``backends``."""
+    stores = []
+    for scale in scales:
+        name = campaign_for(args.experiment, scale, args.seed).name
+        for backend in backends:
+            path = default_store_path(name, backend)
+            if path.exists():
+                stores.append(open_store(path, backend))
+    return stores
+
+
 def _campaign_caches(args, spec) -> List[CampaignStore]:
     """Cache stores for ``campaign run``: explicit --cache paths plus
     any sibling-scale store of the same experiment/seed/backend found
@@ -563,42 +577,63 @@ def _campaign_caches(args, spec) -> List[CampaignStore]:
     overlapping unit a ``quick`` or ``smoke`` run already computed)."""
     caches = [open_store(path) for path in (getattr(args, "cache", None) or [])]
     if not args.store:  # sibling discovery needs the default layout
-        backend = args.store_backend or "jsonl"
-        for other_scale in ("smoke", "quick", "full"):
-            if other_scale == args.scale:
-                continue
-            sibling = campaign_for(
-                args.experiment, other_scale, args.seed
-            ).name
-            path = default_store_path(sibling, backend)
-            if path.exists():
-                caches.append(open_store(path, backend))
+        caches += _default_layout_stores(
+            args,
+            [scale for scale in SCALES if scale != args.scale],
+            [args.store_backend or "jsonl"],
+        )
     return caches
 
 
-def _campaign_status(
+def _cell_coverage(sources: int, slices) -> dict:
+    """Source coverage of an auto-sharded broadcast cell.
+
+    ``slices`` are the ``(lo, hi)`` source ranges of the cell's stored
+    shards.  Slices from several abandoned plans may overlap, so the
+    coverage is their interval union.  A slice reaching past the cell
+    belongs to a *larger-scale* plan of the same cell key (the key
+    strips the replication count) — drop it, so coverage never exceeds
+    the cell and never claims a merge this cell's plans cannot fire.
+    """
+    own = sorted(s for s in slices if s[1] <= sources)
+    covered, reach = 0, 0
+    for lo, hi in own:
+        lo = max(lo, reach)
+        if hi > lo:
+            covered += hi - lo
+            reach = hi
+    return {"covered": covered, "total": sources, "auto_shards": len(own)}
+
+
+def _campaign_status_dict(
     spec,
     store: CampaignStore,
     shards=1,
     trace_dir: Optional[Path] = None,
     retries: int = 2,
-) -> str:
-    """Status line(s) for ``spec`` in ``store``.
+) -> dict:
+    """Status of ``spec`` in one store (``campaign status --json``).
 
-    Leased-but-unfinished units (claimed by a live worker pool but not
-    yet completed) are reported separately — they are in flight, not
-    done — and excluded from the pending count.  Sharded units count
-    as *one* unit each; incomplete ones get their own progress line
-    (``2/4 shards, merge pending``) instead of surfacing their shards
-    as anonymous units.  Broadcast cells under ``--shards auto`` have
-    no pre-agreed plan (the executing pools pick the fan-out), so
-    their progress is inferred from whatever shard records the store
-    already holds.
+    The only status code that reads the store: one ``records()``
+    snapshot and one ``leased_hashes()`` call, so every fact comes
+    from one view of it (over ``HttpStore`` each read is an RPC).
+    :func:`_campaign_status` renders this dict as text.
 
-    Units with a persisted failure record get their own section with
-    the attempt count and reason; a unit whose stored attempts exceed
-    ``retries`` is flagged ``[quarantined]`` — a re-run with this
-    budget will skip it until ``campaign retry-failed`` clears it.
+    Each unit has exactly one ``state``, by precedence ``completed``
+    → ``leased`` → ``failed`` → ``pending``: a failed unit a peer pool
+    has claimed again is in flight, and keeps its ``failure`` detail
+    (error, message, reason, attempts, quarantined under ``retries``).
+    The four state counts sum to ``total``; ``quarantined`` counts the
+    failed units whose stored attempts exceed ``retries``.
+
+    Sharded units count as one unit each, with ``shards`` progress
+    (``planned``/``landed``/``in_flight``) for a planned fan-out.
+    Broadcast cells under ``--shards auto`` have no pre-agreed plan
+    (the executing pools pick the fan-out), so an incomplete one gets
+    ``sources`` coverage (``covered``/``total``/``auto_shards``)
+    inferred from the shard records the store holds.  When a trace
+    spool exists, units carry their span timings and ``trace``
+    summarises every traced unit, shards included.
     """
     from repro.campaigns.shards import (
         BROADCAST_CELL_KIND,
@@ -609,226 +644,99 @@ def _campaign_status(
         shard_specs,
     )
 
-    wanted = set(spec.unit_hashes())
-    stored = store.completed_hashes()
-    completed = wanted & stored
+    records = store.records()
     leased = store.leased_hashes()
-    leased_units = (leased & wanted) - completed
-    failures = {
-        h: r
-        for h, r in store.records().items()
-        if h in wanted and r.failed
-    }
-    quarantined = {h for h, r in failures.items() if r.attempts > retries}
-    failed_idle = set(failures) - leased_units
-    pending = (
-        len(spec) - len(completed) - len(leased_units) - len(failed_idle)
-    )
-    state = (
-        "complete"
-        if pending == 0 and not leased_units and not failures
-        else f"{pending} pending"
-    )
-    failed_note = (
-        f" {len(failures)} failed ({len(quarantined)} quarantined),"
-        if failures
-        else ""
-    )
-    lines = [
-        f"campaign {spec.name} [{store.backend}]:"
-        f" {len(completed)}/{len(spec)} units complete,"
-        f"{failed_note}"
-        f" {len(leased_units)} leased (in flight) ({state})"
-        f" — store: {store.path}"
-    ]
-    for unit in spec.units:
-        record = failures.get(unit.unit_hash)
-        if record is None:
-            continue
-        tag = " [quarantined]" if unit.unit_hash in quarantined else ""
-        lines.append(
-            f"  {unit}: failed after {record.attempts} attempt(s){tag}"
-            f" — {record.failure_reason}"
-        )
-
-    auto_cells = shards == "auto" and any(
-        u.kind == BROADCAST_CELL_KIND and u.unit_hash not in completed
-        for u in spec.units
-    )
-    landed_by_cell = {}
-    if auto_cells:
+    landed = {h for h, r in records.items() if r.ok}
+    auto = shards == "auto"
+    slices_by_cell: dict = {}
+    if auto:
         # The fan-out of an auto cell is whatever the executing pools
         # picked, so read the plan off the stored shard records.
-        for record in store.records().values():
-            shard_spec = record.unit_spec
+        for unit_hash in landed:
+            shard_spec = records[unit_hash].unit_spec
             if shard_spec.kind != BROADCAST_SHARD_KIND:
                 continue
             offset = int(shard_spec.param("source_offset", 0))
             count = int(shard_spec.param("source_count", 0))
-            landed_by_cell.setdefault(
+            slices_by_cell.setdefault(
                 broadcast_cell_key(shard_spec), []
             ).append((offset, offset + count))
-
-    def _covered(slices, sources):
-        """Distinct covered sources (interval union).
-
-        Slices from several abandoned plans may overlap, and a slice
-        reaching past the cell belongs to a *larger-scale* plan of the
-        same cell key (the key strips the replication count) — drop
-        it, so coverage never exceeds the cell and never claims a
-        merge this cell's plans cannot fire.
-        """
-        covered, reach = 0, 0
-        for lo, hi in sorted(s for s in slices if s[1] <= sources):
-            lo = max(lo, reach)
-            if hi > lo:
-                covered += hi - lo
-                reach = hi
-        return covered
-
-    for unit in spec.units:
-        if unit.unit_hash in completed:
-            continue
-        if unit.kind == BROADCAST_CELL_KIND and shards == "auto":
-            sources = cell_sources(unit)
-            slices = landed_by_cell.get(broadcast_cell_key(unit), [])
-            covered = _covered(slices, sources)
-            note = (
-                "merge pending" if covered >= sources
-                else f"{sources - covered} sources to run"
-            )
-            landed = sum(1 for s in slices if s[1] <= sources)
-            lines.append(
-                f"  {unit}: {covered}/{sources} sources in"
-                f" {landed} auto shard(s), {note}"
-            )
-            continue
-        fan_out = planned_shards(unit, requested=shards)
-        if fan_out < 2:
-            continue
-        plan = shard_specs(unit, fan_out)
-        landed = sum(1 for shard in plan if shard.unit_hash in stored)
-        in_flight = sum(
-            1
-            for shard in plan
-            if shard.unit_hash in leased and shard.unit_hash not in stored
-        )
-        if landed == len(plan):
-            note = "merge pending"
-        else:
-            # Same convention as the campaign headline: in-flight
-            # (leased) shards are not part of the to-run count.
-            note = f"{len(plan) - landed - in_flight} to run"
-            if in_flight:
-                note += f", {in_flight} in flight"
-        lines.append(f"  {unit}: {landed}/{len(plan)} shards, {note}")
-
-    # Per-unit timing/queueing breakdown from a traced run, when one
-    # exists.  Purely additive lines — the counts above are stable
-    # whether or not the campaign was traced.
-    if trace_dir is not None and trace_dir.is_dir():
-        traced = summarize_trace(read_trace_dir(trace_dir)).get("units", {})
-        execs = {
-            h: t["spans"]["unit.execute"]
-            for h, t in traced.items()
-            if t.get("spans", {}).get("unit.execute")
-        }
-        if execs:
-            queues = [
-                t["queued_s"] for t in traced.values() if "queued_s" in t
-            ]
-            line = (
-                f"  traced: {len(execs)} executed unit(s) in {trace_dir}"
-                f" — execute mean {sum(execs.values()) / len(execs):.2f}s,"
-                f" max {max(execs.values()):.2f}s"
-            )
-            if queues:
-                line += (
-                    f"; claim-to-start mean {sum(queues) / len(queues):.2f}s"
-                )
-            lines.append(line)
-            slowest = sorted(execs.items(), key=lambda kv: -kv[1])[:3]
-            for unit_hash, _ in slowest:
-                timing = traced[unit_hash]
-                parts = ", ".join(
-                    f"{name.split('.', 1)[-1]} {dur:.2f}s"
-                    for name, dur in sorted(timing["spans"].items())
-                )
-                if "queued_s" in timing:
-                    parts += f", queued {timing['queued_s']:.2f}s"
-                lines.append(f"    {unit_hash[:12]}: {parts}")
-    return "\n".join(lines)
-
-
-def _campaign_status_dict(
-    spec,
-    store: CampaignStore,
-    shards=1,
-    trace_dir: Optional[Path] = None,
-    retries: int = 2,
-) -> dict:
-    """Machine-readable status for one store (``campaign status --json``).
-
-    Mirrors :func:`_campaign_status`: units by state (``completed`` /
-    ``failed`` / ``leased`` / ``pending``), per-unit elapsed seconds
-    from stored records, failure details (error, attempts, quarantined
-    under the given retry budget), shard progress for planned
-    fan-outs, and — when a trace spool exists — per-unit span
-    durations and claim-to-start queueing delays.
-    """
-    from repro.campaigns.shards import planned_shards, shard_specs
-
-    records = store.records()
-    leased = store.leased_hashes()
-    traced = {}
+    traced: dict = {}
     trace_available = trace_dir is not None and trace_dir.is_dir()
     if trace_available:
         traced = summarize_trace(read_trace_dir(trace_dir)).get("units", {})
 
     units = []
-    counts = {"completed": 0, "failed": 0, "leased": 0, "pending": 0}
+    counts = {"completed": 0, "leased": 0, "failed": 0, "pending": 0}
     quarantined = 0
     for unit in spec.units:
         unit_hash = unit.unit_hash
         record = records.get(unit_hash)
-        if record is not None and record.ok:
+        if unit_hash in landed:
             state = "completed"
-        elif record is not None:
-            state = "failed"
         elif unit_hash in leased:
             state = "leased"
+        elif record is not None:
+            state = "failed"
         else:
             state = "pending"
         counts[state] += 1
         entry: dict = {"unit": str(unit), "hash": unit_hash, "state": state}
-        if record is not None and record.ok:
+        if state == "completed":
             entry["elapsed_s"] = record.elapsed_s
         elif record is not None:
             in_quarantine = record.attempts > retries
-            quarantined += in_quarantine
+            if state == "failed" and in_quarantine:
+                quarantined += 1
             entry["failure"] = {
                 "error": record.result.get("error", ""),
                 "message": record.result.get("message", ""),
+                "reason": record.failure_reason,
                 "attempts": record.attempts,
                 "quarantined": in_quarantine,
             }
-        fan_out = planned_shards(unit, requested=shards)
-        if fan_out > 1:
-            plan = shard_specs(unit, fan_out)
-            entry["shards"] = {
-                "planned": len(plan),
-                "landed": sum(
-                    1
-                    for s in plan
-                    if records.get(s.unit_hash) is not None
-                    and records[s.unit_hash].ok
-                ),
-            }
+        if auto and unit.kind == BROADCAST_CELL_KIND:
+            if state != "completed":
+                entry["sources"] = _cell_coverage(
+                    cell_sources(unit),
+                    slices_by_cell.get(broadcast_cell_key(unit), []),
+                )
+        else:
+            fan_out = planned_shards(unit, requested=shards)
+            if fan_out > 1:
+                plan = {s.unit_hash for s in shard_specs(unit, fan_out)}
+                entry["shards"] = {
+                    "planned": len(plan),
+                    "landed": len(plan & landed),
+                    "in_flight": len((plan & leased) - landed),
+                }
         timing = traced.get(unit_hash)
         if timing:
             entry["trace"] = timing
         units.append(entry)
 
+    trace = {
+        "dir": str(trace_dir) if trace_dir is not None else None,
+        "available": trace_available,
+        "executed": 0,
+    }
+    execs = {
+        h: t["spans"]["unit.execute"]
+        for h, t in traced.items()
+        if t.get("spans", {}).get("unit.execute")
+    }
+    if execs:
+        queues = [t["queued_s"] for t in traced.values() if "queued_s" in t]
+        slowest = sorted(execs.items(), key=lambda kv: -kv[1])[:3]
+        trace.update(
+            executed=len(execs),
+            execute_mean_s=sum(execs.values()) / len(execs),
+            execute_max_s=max(execs.values()),
+            claim_to_start_mean_s=(
+                sum(queues) / len(queues) if queues else None
+            ),
+            slowest=[{"hash": h, **traced[h]} for h, _ in slowest],
+        )
     return {
         "campaign": spec.name,
         "backend": store.backend,
@@ -836,12 +744,98 @@ def _campaign_status_dict(
         "total": len(spec.units),
         **counts,
         "quarantined": quarantined,
-        "trace": {
-            "dir": str(trace_dir) if trace_dir is not None else None,
-            "available": trace_available,
-        },
+        "trace": trace,
         "units": units,
     }
+
+
+def _campaign_status(status: dict) -> str:
+    """Render a :func:`_campaign_status_dict` document as text.
+
+    A headline with the four state counts, then one line per unit
+    with a failure record (attempts, ``[quarantined]`` once the stored
+    attempts exceed the retry budget, ``[in flight]`` while a peer
+    retries it), one progress line per incomplete sharded unit
+    (``2/4 shards, merge pending``) or auto-sharded cell (source
+    coverage), and — from a traced run — the timing summary with the
+    three slowest units.
+    """
+    done = status["completed"] == status["total"]
+    failed_note = (
+        f" {status['failed']} failed ({status['quarantined']} quarantined),"
+        if status["failed"]
+        else ""
+    )
+    lines = [
+        f"campaign {status['campaign']} [{status['backend']}]:"
+        f" {status['completed']}/{status['total']} units complete,"
+        f"{failed_note}"
+        f" {status['leased']} leased (in flight)"
+        f" ({'complete' if done else str(status['pending']) + ' pending'})"
+        f" — store: {status['store']}"
+    ]
+    for unit in status["units"]:
+        failure = unit.get("failure")
+        if failure is None:
+            continue
+        tag = " [quarantined]" if failure["quarantined"] else ""
+        if unit["state"] == "leased":
+            tag += " [in flight]"
+        lines.append(
+            f"  {unit['unit']}: failed after {failure['attempts']}"
+            f" attempt(s){tag} — {failure['reason']}"
+        )
+    for unit in status["units"]:
+        if unit["state"] == "completed":
+            continue
+        if "sources" in unit:
+            cov = unit["sources"]
+            covered, sources = cov["covered"], cov["total"]
+            note = (
+                "merge pending" if covered >= sources
+                else f"{sources - covered} sources to run"
+            )
+            lines.append(
+                f"  {unit['unit']}: {covered}/{sources} sources in"
+                f" {cov['auto_shards']} auto shard(s), {note}"
+            )
+        elif "shards" in unit:
+            progress = unit["shards"]
+            planned, landed = progress["planned"], progress["landed"]
+            in_flight = progress["in_flight"]
+            if landed == planned:
+                note = "merge pending"
+            else:
+                # Same convention as the headline: in-flight (leased)
+                # shards are not part of the to-run count.
+                note = f"{planned - landed - in_flight} to run"
+                if in_flight:
+                    note += f", {in_flight} in flight"
+            lines.append(
+                f"  {unit['unit']}: {landed}/{planned} shards, {note}"
+            )
+
+    trace = status["trace"]
+    if trace["executed"]:
+        line = (
+            f"  traced: {trace['executed']} executed unit(s) in {trace['dir']}"
+            f" — execute mean {trace['execute_mean_s']:.2f}s,"
+            f" max {trace['execute_max_s']:.2f}s"
+        )
+        if trace["claim_to_start_mean_s"] is not None:
+            line += (
+                f"; claim-to-start mean {trace['claim_to_start_mean_s']:.2f}s"
+            )
+        lines.append(line)
+        for slow in trace["slowest"]:
+            parts = ", ".join(
+                f"{name.split('.', 1)[-1]} {dur:.2f}s"
+                for name, dur in sorted(slow["spans"].items())
+            )
+            if "queued_s" in slow:
+                parts += f", queued {slow['queued_s']:.2f}s"
+            lines.append(f"    {slow['hash'][:12]}: {parts}")
+    return "\n".join(lines)
 
 
 def _fit_cost_stores(args, spec) -> List[CampaignStore]:
@@ -853,14 +847,7 @@ def _fit_cost_stores(args, spec) -> List[CampaignStore]:
     """
     if args.store or args.store_backend:
         return [_campaign_store(args, spec)]
-    stores = []
-    for scale in ("smoke", "quick", "full"):
-        name = campaign_for(args.experiment, scale, args.seed).name
-        for backend in sorted(BACKENDS):
-            path = default_store_path(name, backend)
-            if path.exists():
-                stores.append(open_store(path, backend))
-    return stores
+    return _default_layout_stores(args, SCALES, sorted(BACKENDS))
 
 
 def _cmd_fit_cost(args, spec) -> int:
@@ -1065,37 +1052,25 @@ def _cmd_campaign(args) -> int:
         if args.store or args.store_backend:
             stores = [_campaign_store(args, spec)]
         else:
-            stores = [
-                open_store(path, backend)
-                for backend in sorted(BACKENDS)
-                for path in [default_store_path(spec.name, backend)]
-                if path.exists()
-            ] or [_campaign_store(args, spec)]
+            stores = _default_layout_stores(
+                args, [args.scale], sorted(BACKENDS)
+            ) or [_campaign_store(args, spec)]
+        docs = [
+            _campaign_status_dict(
+                spec,
+                store,
+                shards=args.shards,
+                trace_dir=_status_trace_dir(args, store),
+                retries=args.retries,
+            )
+            for store in stores
+        ]
         if args.as_json:
             import json
 
-            payload = [
-                _campaign_status_dict(
-                    spec,
-                    store,
-                    shards=args.shards,
-                    trace_dir=_status_trace_dir(args, store),
-                    retries=args.retries,
-                )
-                for store in stores
-            ]
-            print(json.dumps(payload, indent=2))
-            return 0
-        for store in stores:
-            print(
-                _campaign_status(
-                    spec,
-                    store,
-                    shards=args.shards,
-                    trace_dir=_status_trace_dir(args, store),
-                    retries=args.retries,
-                )
-            )
+            print(json.dumps(docs, indent=2))
+        else:
+            print("\n".join(_campaign_status(doc) for doc in docs))
         return 0
 
     store = _campaign_store(args, spec)

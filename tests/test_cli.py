@@ -1,8 +1,13 @@
 """Tests for the command-line interface (`repro.cli`)."""
 
+import re
+
 import pytest
 
+from repro.campaigns.shards import shard_specs
+from repro.campaigns.store import SqliteStore, UnitRecord, make_failure_record
 from repro.cli import _parse_coord, _parse_dims, main
+from repro.experiments.runner import campaign_for
 
 
 def test_parse_dims():
@@ -163,3 +168,218 @@ def test_cli_campaign_status_json(tmp_path, capsys):
     unit = payload["units"][0]
     assert set(unit) >= {"unit", "hash", "state", "elapsed_s"}
     assert unit["state"] == "completed"
+
+
+# ------------------------------------------------------ status agreement
+# `campaign status` text is a rendering of the `--json` document, so the
+# two must report the same counts for every store state.  Each case
+# builds its state directly — ok records carry an empty result, which
+# status never reads — and returns the CLI arguments plus an optional
+# extra check on (doc, text).
+
+HEADLINE = re.compile(
+    r"campaign \S+ \[\w+\]: (?P<completed>\d+)/(?P<total>\d+) units"
+    r" complete,(?: (?P<failed>\d+) failed \((?P<quarantined>\d+)"
+    r" quarantined\),)? (?P<leased>\d+) leased \(in flight\)"
+    r" \((?:complete|(?P<pending>\d+) pending)\)"
+)
+PEER = "worker-elsewhere"
+
+
+def _ok(unit):
+    return UnitRecord(
+        unit_hash=unit.unit_hash,
+        experiment=unit.experiment,
+        spec=unit.as_dict(),
+        result={},
+    )
+
+
+def _db_cell(spec):
+    [cell] = [
+        u for u in spec.units if u.algorithm == "DB" and u.dims == (4, 4, 4)
+    ]
+    return cell
+
+
+def _status_empty(store, tmp_path):
+    return ["fig1", "--scale", "smoke"], None
+
+
+def _status_partial(store, tmp_path):
+    spec = campaign_for("fig1", "smoke", 0)
+    for unit in spec.units[:5]:
+        store.append(_ok(unit))
+    assert store.try_claim(spec.units[5].unit_hash, PEER, ttl_s=60)
+    return ["fig1", "--scale", "smoke"], None
+
+
+def _status_failed(store, tmp_path):
+    spec = campaign_for("fig1", "smoke", 0)
+    store.append(_ok(spec.units[0]))
+    for unit, attempts in ((spec.units[1], 3), (spec.units[2], 1)):
+        store.append(
+            make_failure_record(unit, RuntimeError("boom"), attempts=attempts)
+        )
+
+    def check(doc, text):
+        assert (doc["failed"], doc["quarantined"]) == (2, 1)
+        assert "[quarantined] — RuntimeError: boom" in text
+
+    return ["fig1", "--scale", "smoke"], check
+
+
+def _status_failed_leased(store, tmp_path):
+    """A failed unit a peer pool is retrying: one record plus a lease."""
+    spec = campaign_for("fig1", "smoke", 0)
+    store.append(_ok(spec.units[1]))
+    failed = spec.units[0]
+    store.append(make_failure_record(failed, RuntimeError("boom"), attempts=1))
+    assert store.try_claim(failed.unit_hash, PEER, ttl_s=60)
+
+    def check(doc, text):
+        assert (doc["leased"], doc["failed"]) == (1, 0)
+        [unit] = [u for u in doc["units"] if u["hash"] == failed.unit_hash]
+        assert unit["state"] == "leased"
+        assert unit["failure"]["reason"] == "RuntimeError: boom"
+        assert "failed after 1 attempt(s) [in flight]" in text
+
+    return ["fig1", "--scale", "smoke"], check
+
+
+def _status_shards_in_flight(store, tmp_path):
+    spec = campaign_for("fig1", "smoke", 0, shards=2)
+    cell = _db_cell(spec)
+    first, second = shard_specs(cell, 2)
+    store.append(_ok(first))
+    assert store.try_claim(second.unit_hash, PEER, ttl_s=60)
+    store.append(_ok(spec.units[0]))
+    # A landed shard whose owner has not released its lease yet is
+    # landed, not in flight.
+    other = spec.units[1]
+    landed = shard_specs(other, 2)[0]
+    assert store.try_claim(landed.unit_hash, PEER, ttl_s=60)
+    store.append(_ok(landed))
+
+    def check(doc, text):
+        [unit] = [u for u in doc["units"] if u["hash"] == cell.unit_hash]
+        assert unit["shards"] == {"planned": 2, "landed": 1, "in_flight": 1}
+        assert f"{cell}: 1/2 shards, 0 to run, 1 in flight" in text
+        [unit] = [u for u in doc["units"] if u["hash"] == other.unit_hash]
+        assert unit["shards"] == {"planned": 2, "landed": 1, "in_flight": 0}
+        assert f"{other}: 1/2 shards, 1 to run" in text
+
+    return ["fig1", "--scale", "smoke", "--shards", "2"], check
+
+
+def _status_auto_overlap(store, tmp_path):
+    """Shards of two abandoned plans (3-way and 2-way) of one cell."""
+    cell = _db_cell(campaign_for("fig1", "quick", 0, shards=2))
+    for shard in shard_specs(cell, 3)[:2] + shard_specs(cell, 2)[:1]:
+        store.append(_ok(shard))
+
+    def check(doc, text):
+        [unit] = [u for u in doc["units"] if u["hash"] == cell.unit_hash]
+        assert unit["sources"] == {"covered": 4, "total": 5, "auto_shards": 3}
+        assert "shards" not in unit
+        assert f"{cell}: 4/5 sources in 3 auto shard(s)" in text
+
+    return ["fig1", "--scale", "quick", "--shards", "auto"], check
+
+
+def _status_traced_sharded(store, tmp_path):
+    """Both shards of one cell executed and merged under a trace spool."""
+    import itertools
+
+    from repro.obs.trace import JsonlSink, Tracer, worker_trace_path
+
+    spec = campaign_for("fig1", "smoke", 0, shards=2)
+    cell = _db_cell(spec)
+    spool = tmp_path / "spool"
+    tracer = Tracer(
+        JsonlSink(worker_trace_path(spool, "worker", 1)),
+        role="worker",
+        clock=itertools.count(0.0, 0.25).__next__,
+        pid=1,
+    )
+    for shard in shard_specs(cell, 2):
+        tracer.event("lease.claim", cat="lease", unit=shard.unit_hash)
+        with tracer.span("unit.execute", cat="unit", unit=shard.unit_hash):
+            pass
+        store.append(_ok(shard))
+    with tracer.span("unit.merge", cat="unit", unit=cell.unit_hash):
+        pass
+    store.append(_ok(cell))
+    tracer.close()
+
+    def check(doc, text):
+        assert doc["trace"]["executed"] == 2
+        assert "traced: 2 executed unit(s)" in text
+        assert [s["hash"] for s in doc["trace"]["slowest"]] == [
+            s.unit_hash for s in shard_specs(cell, 2)
+        ]
+        assert doc["trace"]["claim_to_start_mean_s"] == 0.25
+
+    return ["fig1", "--scale", "smoke", "--shards", "2",
+            "--trace", str(spool)], check
+
+
+def _assert_status_agrees(doc, text):
+    headline = HEADLINE.match(text)
+    assert headline, text
+    counts = {k: int(v or 0) for k, v in headline.groupdict().items()}
+    assert {k: doc[k] for k in counts} == counts
+    assert (
+        doc["completed"] + doc["leased"] + doc["failed"] + doc["pending"]
+        == doc["total"]
+    )
+    lines = text.splitlines()
+    failures = [u for u in doc["units"] if "failure" in u]
+    assert sum(": failed after " in line for line in lines) == len(failures)
+    for unit in doc["units"]:
+        if unit["state"] == "completed":
+            continue
+        if "shards" in unit:
+            shards = unit["shards"]
+            prefix = (
+                f"  {unit['unit']}: {shards['landed']}/{shards['planned']}"
+                " shards"
+            )
+            assert any(line.startswith(prefix) for line in lines), prefix
+        if "sources" in unit:
+            sources = unit["sources"]
+            prefix = (
+                f"  {unit['unit']}: {sources['covered']}/{sources['total']}"
+                f" sources in {sources['auto_shards']} auto shard(s)"
+            )
+            assert any(line.startswith(prefix) for line in lines), prefix
+    traced = re.search(r"traced: (\d+) executed unit\(s\)", text)
+    assert doc["trace"]["executed"] == (int(traced.group(1)) if traced else 0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _status_empty,
+        _status_partial,
+        _status_failed,
+        _status_failed_leased,
+        _status_shards_in_flight,
+        _status_auto_overlap,
+        _status_traced_sharded,
+    ],
+    ids=lambda build: build.__name__[len("_status_"):],
+)
+def test_cli_status_text_and_json_agree(build, tmp_path, capsys):
+    import json
+
+    path = tmp_path / "campaign.sqlite"
+    args, check = build(SqliteStore(path), tmp_path)
+    args += ["--store", str(path)]
+    assert main(["campaign", "status"] + args) == 0
+    text = capsys.readouterr().out
+    assert main(["campaign", "status", "--json"] + args) == 0
+    (doc,) = json.loads(capsys.readouterr().out)
+    _assert_status_agrees(doc, text)
+    if check is not None:
+        check(doc, text)
