@@ -1,6 +1,6 @@
-"""Observability: span tracing, mergeable meters, kernel profiling.
+"""Observability: span tracing and kernel profiling.
 
-Three small, dependency-free layers that let every other subsystem
+Two small, dependency-free layers that let every other subsystem
 *see* what a running campaign is doing without changing a byte of its
 results:
 
@@ -9,17 +9,14 @@ results:
     claim/heartbeat/steal/cache-hit events) with a zero-overhead no-op
     default, injected clocks, per-worker JSONL sinks and a
     Chrome-trace-event/Perfetto exporter.
-:mod:`repro.obs.meters`
-    Counters, gauges and histograms whose state is the mergeable
-    :class:`~repro.metrics.partial.PartialStat` algebra, so per-shard
-    and per-worker metrics merge exactly like sharded results do.
 :mod:`repro.obs.simprof`
     Cheap always-on kernel counters (events dispatched by category,
     heap high-water mark, pool hit rates, channel wait time, wormhole
     batching ratio) surfaced through ``Environment.profile()``.
 
-See ``docs/observability.md`` for the span model, the meter algebra
-and the Perfetto how-to.
+The live service's SLO counters and answer latencies are plain state
+of :class:`~repro.service.EstimatorService` itself.  See
+``docs/observability.md`` for the span model and the Perfetto how-to.
 """
 
 from repro.obs.simprof import SimProfile
@@ -38,39 +35,7 @@ from repro.obs.trace import (
     worker_trace_path,
 )
 
-# The meters ride on repro.metrics.partial, whose package pulls in the
-# core/network stack — but the kernel itself imports repro.obs (for
-# SimProfile) from inside that very stack.  Loading meters lazily (PEP
-# 562) keeps the kernel's import dependency-free and breaks the cycle.
-_METER_NAMES = (
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MeterRegistry",
-    "merge_counters",
-    "merge_gauges",
-    "merge_histograms",
-    "merge_registries",
-)
-
-
-def __getattr__(name):
-    if name in _METER_NAMES:
-        from repro.obs import meters
-
-        return getattr(meters, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MeterRegistry",
-    "merge_counters",
-    "merge_gauges",
-    "merge_histograms",
-    "merge_registries",
     "SimProfile",
     "NULL_TRACER",
     "JsonlSink",

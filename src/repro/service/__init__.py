@@ -8,7 +8,6 @@ cache.  See ``docs/service.md``.
 
 from repro.campaigns.remote import API_PREFIX
 from repro.service.estimator import (
-    ANSWER_LATENCY_BOUNDS_S,
     DEFAULT_SERVICE_PORT,
     QUERY_FIELDS,
     EstimatorServer,
@@ -18,7 +17,6 @@ from repro.service.estimator import (
 )
 
 __all__ = [
-    "ANSWER_LATENCY_BOUNDS_S",
     "API_PREFIX",
     "DEFAULT_SERVICE_PORT",
     "QUERY_FIELDS",

@@ -28,32 +28,30 @@ run`` — the service adds no computation path of its own.
 Determinism: all service time comes from the ``clock`` callable
 injected at construction (default :func:`time.monotonic`; never
 ``time.time()``), so tests drive the whole request loop — including
-the SLO histogram — with a scripted clock and replay it exactly.
-Answer latencies accumulate in a ``batch_size=1``
-:class:`~repro.obs.meters.Histogram`, whose ``PartialStat`` chunk
-stream yields *exact* p50/p95/p99 via
-:meth:`~repro.obs.meters.Histogram.percentile`.
+the SLO stats — with a scripted clock and replay it exactly.
+Answer latencies accumulate in one plain list, so ``/v1/stats``
+reports *exact* nearest-rank p50/p95/p99 over every answer.
 
 See ``docs/service.md`` for the query schema and the failure matrix.
 """
 
 from __future__ import annotations
 
+import collections
+import math
 import queue
 import threading
 import time
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.campaigns.pool import run_campaign
 from repro.campaigns.remote import JsonApiServer
 from repro.campaigns.spec import CampaignSpec, UnitSpec, freeze_params
 from repro.campaigns.store import CampaignStore
 from repro.campaigns.units import broadcast_engine
-from repro.obs.meters import MeterRegistry
 from repro.obs.trace import NULL_TRACER
 
 __all__ = [
-    "ANSWER_LATENCY_BOUNDS_S",
     "DEFAULT_SERVICE_PORT",
     "QUERY_FIELDS",
     "ServiceError",
@@ -65,14 +63,6 @@ __all__ = [
 #: Conventional estimator port (``repro serve`` default) — one above
 #: the campaign coordinator's 8931 so both run side by side.
 DEFAULT_SERVICE_PORT = 8932
-
-#: Bucket edges (seconds) of the lossy answer-latency histogram view.
-#: SLO percentiles never read these — they come exactly from the
-#: histogram's chunk stream — the buckets only serve cheap dashboards.
-ANSWER_LATENCY_BOUNDS_S = (
-    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
 
 #: Accepted query-document fields (anything else is rejected loudly —
 #: a typo like ``"lenght_flits"`` must not silently hash to a
@@ -95,17 +85,25 @@ class ServiceError(ValueError):
     """A malformed query document (the HTTP layer's 400)."""
 
 
+def _is_json_int(value: Any) -> bool:
+    # JSON true/false decode to bool, a subclass of int: not integers here.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def spec_for_query(doc: Dict[str, Any]) -> UnitSpec:
     """Map one JSON query document to its content-hashed unit.
 
     Required: ``algorithm`` (a registered algorithm name) and ``dims``
-    (a list of positive mesh dimensions).  Optional: ``length_flits``
-    (default 100), ``load`` (messages/ms; present → a ``"traffic"``
-    unit, absent → a single-source ``"broadcast"`` unit), ``seed``
-    (default 0), ``replication`` (default 0), ``experiment`` (default
+    (a list of positive integer mesh dimensions).  Optional:
+    ``length_flits`` (default 100), ``load`` (a finite number > 0 in
+    messages/ms; present → a ``"traffic"`` unit, absent → a
+    single-source ``"broadcast"`` unit), ``seed`` (default 0),
+    ``replication`` (default 0), ``experiment`` (default
     ``"service"`` — pass a paper experiment id to share units with its
     campaigns), and ``params`` (extra runner parameters, canonicalised
-    exactly like a campaign grid's).
+    exactly like a campaign grid's).  Integer fields must be JSON
+    integers: ``8.9``, ``"444"`` or ``true`` is rejected rather than
+    truncated or split into a different unit.
 
     The construction is deliberately identical to what experiment
     grids do — :func:`freeze_params` and all — so a query for a point
@@ -124,38 +122,40 @@ def spec_for_query(doc: Dict[str, Any]) -> UnitSpec:
         )
     try:
         algorithm = str(doc["algorithm"])
-        dims = tuple(int(d) for d in doc["dims"])
+        dims = doc["dims"]
     except KeyError as exc:
         raise ServiceError(f"query is missing required field {exc}") from None
-    except (TypeError, ValueError):
-        raise ServiceError("'dims' must be a list of integers") from None
+    if not isinstance(dims, list) or not all(map(_is_json_int, dims)):
+        raise ServiceError("'dims' must be a list of integers")
     if algorithm not in algorithm_names():
         raise ServiceError(
             f"unknown algorithm {algorithm!r};"
             f" choose from {sorted(algorithm_names())}"
         )
     if not dims or any(d < 1 for d in dims):
-        raise ServiceError(f"'dims' must be positive, got {list(dims)}")
-    try:
-        length_flits = int(doc.get("length_flits", 100))
-        seed = int(doc.get("seed", 0))
-        replication = int(doc.get("replication", 0))
-    except (TypeError, ValueError):
+        raise ServiceError(f"'dims' must be positive, got {dims}")
+    length_flits = doc.get("length_flits", 100)
+    seed = doc.get("seed", 0)
+    replication = doc.get("replication", 0)
+    if not all(map(_is_json_int, (length_flits, seed, replication))):
         raise ServiceError(
             "'length_flits', 'seed' and 'replication' must be integers"
-        ) from None
+        )
     if length_flits < 1:
         raise ServiceError(f"'length_flits' must be >= 1, got {length_flits}")
     if replication < 0:
         raise ServiceError(f"'replication' must be >= 0, got {replication}")
-    load: Optional[float] = None
-    if doc.get("load") is not None:
-        try:
-            load = float(doc["load"])
-        except (TypeError, ValueError):
-            raise ServiceError("'load' must be a number") from None
+    load = doc.get("load")
+    if load is not None:
+        if not (
+            isinstance(load, (int, float))
+            and not isinstance(load, bool)
+            and math.isfinite(load)
+        ):
+            raise ServiceError(f"'load' must be a finite number, got {load!r}")
         if load <= 0:
             raise ServiceError(f"'load' must be > 0, got {load}")
+        load = float(load)
     params = doc.get("params") or {}
     if not isinstance(params, dict):
         raise ServiceError("'params' must be a JSON object")
@@ -163,7 +163,7 @@ def spec_for_query(doc: Dict[str, Any]) -> UnitSpec:
         experiment=str(doc.get("experiment", "service")),
         kind="traffic" if load is not None else "broadcast",
         algorithm=algorithm,
-        dims=dims,
+        dims=tuple(dims),
         length_flits=length_flits,
         seed=seed,
         replication=replication,
@@ -220,11 +220,12 @@ class EstimatorService:
         self.clock = clock
         self.tracer = tracer
         self.retries = int(retries)
-        self.meters = MeterRegistry()
-        self._hist = self.meters.histogram(
-            "svc.answer_latency_s", ANSWER_LATENCY_BOUNDS_S, batch_size=1
-        )
         self._lock = threading.Lock()
+        # The SLO state, guarded by ``_lock``: counters appear on their
+        # first increment; latencies stay in observation order.
+        self._counters: collections.Counter[str] = collections.Counter()
+        self._latencies_s: List[float] = []
+        self._total_s = 0.0
         self._inflight: Set[str] = set()
         self._closed = False
         self._started_s = self.clock()
@@ -241,7 +242,7 @@ class EstimatorService:
         """Answer one query document (hit / pending / failed).
 
         Raises :class:`ServiceError` for malformed documents; only
-        well-formed queries count toward the SLO histogram.
+        well-formed queries count toward the SLO stats.
         """
         started_s = self.clock()
         with self.tracer.span("svc.query", cat="svc") as span:
@@ -264,13 +265,14 @@ class EstimatorService:
         started_s: float,
         counter: str = "svc.queries",
     ) -> Dict[str, Any]:
-        """Stamp one answer into the SLO meters (under the lock —
+        """Stamp one answer into the SLO stats (under the lock —
         queries arrive from concurrent HTTP handler threads)."""
         elapsed_s = self.clock() - started_s
         with self._lock:
-            self._hist.observe(elapsed_s)
-            self.meters.counter(counter).inc()
-            self.meters.counter(f"svc.answer.{answer['status']}").inc()
+            self._latencies_s.append(float(elapsed_s))
+            self._total_s += elapsed_s
+            self._counters[counter] += 1
+            self._counters[f"svc.answer.{answer['status']}"] += 1
         answer["answer_latency_s"] = elapsed_s
         return answer
 
@@ -316,7 +318,7 @@ class EstimatorService:
         except queue.Full:
             with self._lock:
                 self._inflight.discard(spec.unit_hash)
-                self.meters.counter("svc.queue_full").inc()
+                self._counters["svc.queue_full"] += 1
             return False
         self.tracer.event("svc.enqueue", cat="svc", unit=spec.unit_hash)
         return True
@@ -353,7 +355,7 @@ class EstimatorService:
                     error=repr(exc),
                 )
                 with self._lock:
-                    self.meters.counter("svc.simulate_errors").inc()
+                    self._counters["svc.simulate_errors"] += 1
             finally:
                 with self._lock:
                     self._inflight.discard(spec.unit_hash)
@@ -379,31 +381,34 @@ class EstimatorService:
     def stats(self) -> Dict[str, Any]:
         """The SLO document: answer counts plus exact p50/p95/p99.
 
-        Percentiles come from the histogram's ``PartialStat`` chunk
-        stream (``batch_size=1`` — every observation survives
-        verbatim), so they are exact empirical order statistics, not
-        bucket edges.
+        Every answer latency is kept verbatim, so the percentiles are
+        exact nearest-rank order statistics.  Only the copy happens
+        under the lock; the sort runs outside it.
         """
         with self._lock:
-            counters = {
-                name: meter.value
-                for name, meter in sorted(self.meters.meters.items())
-                if meter.kind == "counter"
+            counters = dict(sorted(self._counters.items()))
+            latencies = list(self._latencies_s)
+            total_s = self._total_s
+            inflight = len(self._inflight)
+        count = len(latencies)
+        doc: Dict[str, Any] = {
+            "answers": count,
+            "counters": counters,
+            "inflight": inflight,
+        }
+        if count:
+            latencies.sort()
+
+            def percentile(q: float) -> float:
+                return latencies[max(1, math.ceil(q * count)) - 1]
+
+            doc["answer_latency_s"] = {
+                "count": count,
+                "mean": total_s / count,
+                "p50": percentile(0.50),
+                "p95": percentile(0.95),
+                "p99": percentile(0.99),
             }
-            count = self._hist.count
-            doc: Dict[str, Any] = {
-                "answers": count,
-                "counters": counters,
-                "inflight": len(self._inflight),
-            }
-            if count:
-                doc["answer_latency_s"] = {
-                    "count": count,
-                    "mean": self._hist.mean,
-                    "p50": self._hist.percentile(0.50),
-                    "p95": self._hist.percentile(0.95),
-                    "p99": self._hist.percentile(0.99),
-                }
         return doc
 
     def status(self) -> Dict[str, Any]:

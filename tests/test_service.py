@@ -19,6 +19,7 @@ The contract under test, per layer:
 """
 
 import json
+import math
 import os
 import signal
 import subprocess
@@ -28,6 +29,7 @@ import urllib.request
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.campaigns import CampaignSpec, open_store, run_campaign
 from repro.obs.trace import ListSink, Tracer
@@ -106,6 +108,24 @@ def test_spec_for_query_load_selects_traffic():
         {"algorithm": "DB", "dims": [4, 4], "load": "heavy"},
         {"algorithm": "DB", "dims": [4, 4], "params": [1, 2]},
         {"algorithm": "DB", "dims": [4, 4], "lenght_flits": 8},  # typo
+        # Non-finite loads would store NaN results no JSON reply can carry.
+        {"algorithm": "DB", "dims": [4, 4], "load": "nan"},
+        {"algorithm": "DB", "dims": [4, 4], "load": "inf"},
+        {"algorithm": "DB", "dims": [4, 4], "load": float("nan")},
+        {"algorithm": "DB", "dims": [4, 4], "load": float("inf")},
+        {"algorithm": "DB", "dims": [4, 4], "load": "0.02"},
+        {"algorithm": "DB", "dims": [4, 4], "load": True},
+        # Integer fields must not be split, truncated or coerced.
+        {"algorithm": "DB", "dims": "444"},
+        {"algorithm": "DB", "dims": [8.9, 8, 8]},
+        {"algorithm": "DB", "dims": [8.0, 8, 8]},
+        {"algorithm": "DB", "dims": [True, 4]},
+        {"algorithm": "DB", "dims": {"4": 1, "8": 1}},
+        {"algorithm": "DB", "dims": [4, 4], "length_flits": 16.5},
+        {"algorithm": "DB", "dims": [4, 4], "length_flits": "16"},
+        {"algorithm": "DB", "dims": [4, 4], "seed": 1.5},
+        {"algorithm": "DB", "dims": [4, 4], "seed": False},
+        {"algorithm": "DB", "dims": [4, 4], "replication": 0.9},
     ],
 )
 def test_spec_for_query_rejects_malformed_documents(doc):
@@ -176,7 +196,7 @@ def test_pending_ticket_redeems_once_simulated(tmp_path):
         assert redeemed["status"] == "hit"
         assert redeemed["result"]["delivered"] > 0
         # Repeated misses while in flight do not double-enqueue.
-        assert service.meters.counter("svc.answer.hit").value == 1
+        assert service.stats()["counters"]["svc.answer.hit"] == 1
 
 
 def test_duplicate_misses_enqueue_once(tmp_path):
@@ -268,6 +288,67 @@ def test_stats_percentiles_match_hand_computed_stream(tmp_path):
         "p95": 1.0,
         "p99": 1.0,
     }
+
+
+def nearest_rank(values, q):
+    """The textbook nearest-rank percentile: the smallest value whose
+    cumulative share of the sorted stream reaches ``q``."""
+    ordered = sorted(values)
+    rank = max(1, math.ceil(q * len(ordered)))
+    return ordered[min(rank, len(ordered)) - 1]
+
+
+@pytest.fixture(scope="module")
+def hit_store(tmp_path_factory):
+    store = open_store(tmp_path_factory.mktemp("svc") / "svc.sqlite")
+    seed_store(store)
+    return store
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.booleans(), st.floats(min_value=0.0, max_value=1e6)),
+        max_size=40,
+    )
+)
+def test_stats_match_nearest_rank_oracle_for_any_stream(hit_store, answers):
+    # Each answer is a hit query or an unknown-ticket redeem whose
+    # scripted latency is ``end - 0.0``, i.e. exactly the drawn float.
+    readings = [0.0]
+    for _, latency_s in answers:
+        readings += [0.0, latency_s]
+    service = EstimatorService(hit_store, clock=ScriptedClock(readings))
+    try:
+        for is_query, _ in answers:
+            if is_query:
+                service.query(QUERY)
+            else:
+                service.result("no-such-ticket")
+    finally:
+        service.close()
+    stats = service.stats()
+    counters = stats["counters"]
+    assert list(counters) == sorted(counters)
+    assert (
+        stats["answers"]
+        == len(answers)
+        == counters.get("svc.queries", 0) + counters.get("svc.redeems", 0)
+        == sum(
+            value
+            for name, value in counters.items()
+            if name.startswith("svc.answer.")
+        )
+    )
+    latencies = [latency_s for _, latency_s in answers]
+    if not latencies:
+        assert "answer_latency_s" not in stats
+        return
+    slo = stats["answer_latency_s"]
+    assert slo["count"] == len(latencies)
+    assert slo["mean"] == pytest.approx(math.fsum(latencies) / len(latencies))
+    for key, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
+        assert slo[key] == nearest_rank(latencies, q)
 
 
 def test_status_uptime_uses_injected_clock(tmp_path):
