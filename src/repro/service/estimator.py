@@ -85,6 +85,16 @@ class ServiceError(ValueError):
     """A malformed query document (the HTTP layer's 400)."""
 
 
+def nearest_rank(ordered: List[float], q: float) -> float:
+    """The nearest-rank ``q``-percentile of the ascending ``ordered``:
+    the element at rank ``max(1, ceil(q * n))``."""
+    if not ordered:
+        raise ValueError("percentile of an empty sample")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"percentile q must be in [0, 1], got {q!r}")
+    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
+
+
 def _is_json_int(value: Any) -> bool:
     # JSON true/false decode to bool, a subclass of int: not integers here.
     return isinstance(value, int) and not isinstance(value, bool)
@@ -398,16 +408,12 @@ class EstimatorService:
         }
         if count:
             latencies.sort()
-
-            def percentile(q: float) -> float:
-                return latencies[max(1, math.ceil(q * count)) - 1]
-
             doc["answer_latency_s"] = {
                 "count": count,
                 "mean": total_s / count,
-                "p50": percentile(0.50),
-                "p95": percentile(0.95),
-                "p99": percentile(0.99),
+                "p50": nearest_rank(latencies, 0.50),
+                "p95": nearest_rank(latencies, 0.95),
+                "p99": nearest_rank(latencies, 0.99),
             }
         return doc
 

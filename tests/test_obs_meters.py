@@ -1,31 +1,16 @@
-"""Exactness of the mergeable run meters (`repro.obs.meters`).
+"""Exactness of the live service's latency percentiles.
 
-The meters promise campaign metrics the same guarantee unit results
-get from `repro.metrics.partial`: however an observation/update stream
-is cut across workers and shards, merging the pieces reproduces the
-serial meter — bit for bit on the batching fields and bucket counts.
-Hypothesis drives the splits, exactly like ``tests/test_partial_stats``
-does for the underlying algebra.
+``EstimatorService.stats()`` keeps every answer latency verbatim and
+reports p50/p95/p99 through :func:`repro.service.estimator.nearest_rank`.
+These tests pin that function: it is the textbook nearest-rank order
+statistic, and it does not depend on how the latency stream was cut
+into pieces or in which order the pieces arrived.
 """
-
-import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs.meters import (
-    Counter,
-    Gauge,
-    Histogram,
-    MeterRegistry,
-    coalesce_partials,
-    merge_counters,
-    merge_gauges,
-    merge_histograms,
-    merge_registries,
-)
-
-BOUNDS = (0.5, 2.0, 8.0, 32.0)
+from repro.service.estimator import nearest_rank
 
 
 # ------------------------------------------------------------ strategies
@@ -42,300 +27,67 @@ def observations(min_size=0, max_size=160):
 @st.composite
 def stream_and_cuts(draw):
     xs = draw(observations())
-    batch_size = draw(st.integers(min_value=1, max_value=9))
     n_cuts = draw(st.integers(min_value=0, max_value=6))
     cuts = sorted(
         draw(st.integers(min_value=0, max_value=len(xs)))
         for _ in range(n_cuts)
     )
-    return xs, batch_size, cuts
+    return xs, cuts
 
 
 def segments(xs, cuts):
-    """Cut ``xs`` at ``cuts`` → (offset, values) slices tiling the stream."""
+    """Cut ``xs`` at ``cuts`` into slices tiling the stream."""
     edges = [0] + list(cuts) + [len(xs)]
-    return [
-        (start, xs[start:end])
-        for start, end in zip(edges, edges[1:])
-    ]
+    return [xs[start:end] for start, end in zip(edges, edges[1:])]
 
 
-def fill_histogram(hist, values):
-    for value in values:
-        hist.observe(value)
-    return hist
-
-
-# ------------------------------------------------------ histogram merging
-@settings(max_examples=200, deadline=None)
-@given(stream_and_cuts())
-def test_histogram_merge_of_any_split_is_exact(case):
-    xs, batch_size, cuts = case
-    serial = fill_histogram(Histogram("lat", BOUNDS, batch_size), xs)
-    shards = [
-        fill_histogram(
-            Histogram("lat", BOUNDS, batch_size, offset=start), values
-        )
-        for start, values in segments(xs, cuts)
-    ]
-    merged = merge_histograms(reversed(shards))  # order must not matter
-
-    assert merged.bucket_counts == serial.bucket_counts
-    assert merged.count == serial.count
-    assert merged.total == pytest.approx(serial.total)
-
-    serial_parts = serial.partials()
-    merged_parts = merged.partials()
-    assert len(merged_parts) == len(serial_parts)  # 0 or 1: stream tiles
-    for got, want in zip(merged_parts, serial_parts):
-        # The batching fields are the bit-exact contract: identical
-        # floats in identical order to the unsplit stream.
-        assert got.offset == want.offset
-        assert got.count == want.count
-        assert got.head == want.head
-        assert got.batch_means == want.batch_means
-        assert got.tail == want.tail
-
-
-@settings(max_examples=200, deadline=None)
-@given(stream_and_cuts())
-def test_histogram_dict_round_trip(case):
-    xs, batch_size, cuts = case
-    shards = [
-        fill_histogram(
-            Histogram("lat", BOUNDS, batch_size, offset=start), values
-        )
-        for start, values in segments(xs, cuts)
-    ]
-    merged = merge_histograms(shards)
-    # Through JSON — the shape that travels in unit records.
-    revived = Histogram.from_dict(json.loads(json.dumps(merged.to_dict())))
-    assert revived.bucket_counts == merged.bucket_counts
-    assert revived.count == merged.count
-    assert revived.partials() == merged.partials()
-
-
-def test_histogram_buckets_and_quantiles():
-    hist = fill_histogram(
-        Histogram("lat", BOUNDS, batch_size=4), [0.1, 0.5, 1.0, 4.0, 100.0]
-    )
-    # v lands in the first bucket with v <= bound; above the last bound
-    # is the overflow bucket.
-    assert hist.bucket_counts == [2, 1, 1, 0, 1]
-    assert hist.quantile(0.0) == 0.5
-    assert hist.quantile(0.4) == 0.5
-    assert hist.quantile(0.5) == 2.0
-    assert hist.quantile(0.8) == 8.0
-    assert hist.quantile(1.0) == float("inf")
-    assert hist.mean == pytest.approx(105.6 / 5)
-    with pytest.raises(ValueError):
-        hist.quantile(1.5)
-    with pytest.raises(ValueError):
-        Histogram("e", BOUNDS).quantile(0.5)
-
-
-def test_histogram_merge_rejects_mismatches():
-    base = Histogram("lat", BOUNDS)
-    with pytest.raises(ValueError):
-        merge_histograms([base, Histogram("other", BOUNDS)])
-    with pytest.raises(ValueError):
-        merge_histograms([base, Histogram("lat", (1.0, 2.0))])
-    with pytest.raises(ValueError):
-        merge_histograms([base, Histogram("lat", BOUNDS, batch_size=5)])
-    with pytest.raises(ValueError):
-        merge_histograms([])
-    with pytest.raises(ValueError):
-        Histogram("bad", (2.0, 1.0))
-
-
-def test_coalesce_keeps_gaps_as_separate_chunks():
-    left = fill_histogram(
-        Histogram("lat", BOUNDS, batch_size=2, offset=0), [1.0, 2.0]
-    )
-    # Offset 6: the worker covering [2, 6) crashed and lost its slice.
-    right = fill_histogram(
-        Histogram("lat", BOUNDS, batch_size=2, offset=6), [3.0, 4.0]
-    )
-    merged = merge_histograms([left, right])
-    parts = merged.partials()
-    assert [p.offset for p in parts] == [0, 6]
-    assert merged.count == 4
-    assert coalesce_partials([]) == ()
-
-
-# ------------------------------------------------------------- gauges
-@settings(max_examples=200, deadline=None)
-@given(stream_and_cuts())
-def test_gauge_merge_of_any_split_is_exact(case):
-    xs, _batch_size, cuts = case
-    serial = Gauge("depth")
-    for value in xs:
-        serial.set(value)
-    shards = []
-    for start, values in segments(xs, cuts):
-        gauge = Gauge("depth", offset=start)
-        for value in values:
-            gauge.set(value)
-        shards.append(gauge)
-    merged = merge_gauges(reversed(shards))
-    assert merged.updates == serial.updates
-    assert merged.last == serial.last
-    assert merged.low == serial.low
-    assert merged.high == serial.high
-
-
-def test_gauge_merge_rejects_gaps_and_overlaps():
-    a = Gauge("depth", offset=0)
-    a.set(1.0)
-    gapped = Gauge("depth", offset=5)
-    gapped.set(2.0)
-    with pytest.raises(ValueError, match="gapped"):
-        merge_gauges([a, gapped])
-    overlapping = Gauge("depth", offset=0)
-    overlapping.set(3.0)
-    with pytest.raises(ValueError, match="overlapping"):
-        merge_gauges([a, overlapping])
-    with pytest.raises(ValueError):
-        merge_gauges([a, Gauge("other", offset=1)])
-    with pytest.raises(ValueError):
-        merge_gauges([])
-
-
-def test_gauge_dict_round_trip_and_validation():
-    gauge = Gauge("depth", offset=3)
-    gauge.set(2.0)
-    gauge.set(-1.0)
-    revived = Gauge.from_dict(json.loads(json.dumps(gauge.to_dict())))
-    assert (revived.offset, revived.updates) == (3, 2)
-    assert (revived.last, revived.low, revived.high) == (-1.0, -1.0, 2.0)
-    with pytest.raises(ValueError):
-        Gauge("bad", offset=-1)
-    with pytest.raises(ValueError):
-        Gauge("bad", updates=1)  # non-empty but no last value
-
-
-# ------------------------------------------------------------ counters
-def test_counter_merge_and_round_trip():
-    a = Counter("events")
-    a.inc()
-    a.inc(41)
-    b = Counter.from_dict(json.loads(json.dumps(a.to_dict())))
-    assert b.value == 42
-    assert merge_counters([a, b]).value == 84
-    with pytest.raises(ValueError):
-        merge_counters([a, Counter("other")])
-    with pytest.raises(ValueError):
-        merge_counters([])
-
-
-# ------------------------------------------------------------ registry
-def test_registry_round_trip_and_merge():
-    def worker(offset, values):
-        registry = MeterRegistry()
-        registry.counter("units").inc(len(values))
-        gauge = registry.gauge("depth", offset=offset)
-        hist = registry.histogram("lat", BOUNDS, batch_size=2, offset=offset)
-        for value in values:
-            gauge.set(value)
-            hist.observe(value)
-        return registry
-
-    xs = [0.25, 1.5, 4.0, 9.0, 50.0]
-    shards = [worker(0, xs[:2]), worker(2, xs[2:])]
-    # Through JSON, like registries riding along in unit records.
-    revived = [
-        MeterRegistry.from_dict(json.loads(json.dumps(r.to_dict())))
-        for r in shards
-    ]
-    merged = merge_registries(revived)
-
-    serial = worker(0, xs)
-    assert merged.counter("units").value == 5
-    assert merged.gauge("depth").last == serial.gauge("depth").last
-    assert (
-        merged.meters["lat"].bucket_counts
-        == serial.meters["lat"].bucket_counts
-    )
-    assert merged.meters["lat"].partials() == serial.meters["lat"].partials()
-
-
-def test_registry_kind_checks():
-    registry = MeterRegistry()
-    registry.counter("n")
-    with pytest.raises(TypeError):
-        registry.gauge("n")
-    with pytest.raises(TypeError):
-        registry.histogram("n", BOUNDS)
-    with pytest.raises(ValueError):
-        MeterRegistry.from_dict({"x": {"kind": "nope"}})
-
-    other = MeterRegistry()
-    other.gauge("n").set(1.0)
-    with pytest.raises(ValueError, match="conflicting kinds"):
-        merge_registries([registry, other])
+def counting_oracle(values, q):
+    """The smallest value whose cumulative count reaches ``q * n``."""
+    n = len(values)
+    return min(v for v in values if sum(u <= v for u in values) >= q * n)
 
 
 # --------------------------------------------------- exact percentiles
-def nearest_rank(values, q):
-    """The textbook nearest-rank percentile — the oracle percentile()
-    must match when batch_size=1 preserves every raw observation."""
-    import math
-
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
-
-
 def test_percentile_exact_nearest_rank_examples():
-    hist = fill_histogram(
-        Histogram("lat", BOUNDS, batch_size=1), [5.0, 1.0, 3.0, 2.0, 4.0]
-    )
-    assert hist.percentile(0.0) == 1.0
-    assert hist.percentile(0.5) == 3.0
-    assert hist.percentile(0.95) == 5.0
-    assert hist.percentile(1.0) == 5.0
+    ordered = sorted([5.0, 1.0, 3.0, 2.0, 4.0])
+    assert nearest_rank(ordered, 0.0) == 1.0
+    assert nearest_rank(ordered, 0.5) == 3.0
+    assert nearest_rank(ordered, 0.95) == 5.0
+    assert nearest_rank(ordered, 1.0) == 5.0
     with pytest.raises(ValueError):
-        hist.percentile(1.5)
+        nearest_rank(ordered, 1.5)
     with pytest.raises(ValueError):
-        Histogram("empty", BOUNDS).percentile(0.5)
+        nearest_rank(ordered, -0.1)
+    with pytest.raises(ValueError):
+        nearest_rank([], 0.5)
 
 
 @settings(max_examples=200, deadline=None)
 @given(stream_and_cuts(), st.floats(min_value=0.0, max_value=1.0))
 def test_percentiles_survive_any_split(case, q):
-    # merge(split(stream)).percentile(q) == unsplit.percentile(q),
-    # whatever the batch size: both read the same chunk stream.
-    xs, batch_size, cuts = case
-    serial = fill_histogram(Histogram("lat", BOUNDS, batch_size), xs)
-    merged = merge_histograms(
-        fill_histogram(
-            Histogram("lat", BOUNDS, batch_size, offset=start), values
-        )
-        for start, values in segments(xs, cuts)
-    )
+    # Answers land in the latency list in whatever order the request
+    # threads finish; the percentile of the pieces joined in any order
+    # equals the percentile of the unsplit stream.
+    xs, cuts = case
+    pieces = segments(xs, cuts)
+    rejoined = [x for piece in reversed(pieces) for x in piece]
     if not xs:
         with pytest.raises(ValueError):
-            serial.percentile(q)
-        with pytest.raises(ValueError):
-            merged.percentile(q)
+            nearest_rank(sorted(rejoined), q)
         return
-    assert merged.percentile(q) == serial.percentile(q)
-    assert merged.stream_values() == serial.stream_values()
+    assert nearest_rank(sorted(rejoined), q) == nearest_rank(sorted(xs), q)
 
 
 @settings(max_examples=200, deadline=None)
 @given(stream_and_cuts(), st.floats(min_value=0.0, max_value=1.0))
 def test_unit_batch_percentiles_are_exact_order_statistics(case, q):
-    # With batch_size=1 every observation survives verbatim in the
-    # chunk stream (a one-value batch mean IS the value), so the
-    # percentile is the exact empirical one however the stream was
-    # split — this is what the live service's p50/p95/p99 rely on.
-    xs, _, cuts = case
-    merged = merge_histograms(
-        fill_histogram(Histogram("lat", BOUNDS, 1, offset=start), values)
-        for start, values in segments(xs, cuts)
-    )
+    # Every observation is kept, so the percentile is an element of the
+    # stream and agrees with the counting definition of the order
+    # statistic however the stream was split.
+    xs, cuts = case
     if not xs:
         return
-    assert merged.stream_values() == xs
-    assert merged.percentile(q) == nearest_rank(xs, q)
+    merged = sorted(x for piece in segments(xs, cuts) for x in piece)
+    value = nearest_rank(merged, q)
+    assert value in xs
+    assert value == counting_oracle(xs, q)
