@@ -20,7 +20,7 @@ Subpackages
 ``repro.sim``
     process-oriented discrete-event kernel (the CSIM substitute);
 ``repro.network``
-    meshes/tori/hypercubes, channels, wormhole path transmission;
+    the mesh topology, channels, wormhole path transmission;
 ``repro.routing``
     dimension-ordered and turn-model routing, CPR paths, deadlock
     analysis;
@@ -49,10 +49,8 @@ from repro.core.executors import (
 )
 from repro.core.recursive_doubling import RecursiveDoubling
 from repro.core.registry import ALGORITHMS, algorithm_names, get_algorithm
-from repro.network.hypercube import Hypercube
 from repro.network.network import NetworkConfig, NetworkSimulator
 from repro.network.topology import Mesh, Topology
-from repro.network.torus import Torus
 
 __version__ = "1.0.0"
 
@@ -64,13 +62,11 @@ __all__ = [
     "DeterministicBroadcast",
     "EventDrivenExecutor",
     "ExtendedDominatingNodes",
-    "Hypercube",
     "Mesh",
     "NetworkConfig",
     "NetworkSimulator",
     "RecursiveDoubling",
     "Topology",
-    "Torus",
     "UnitStepExecutor",
     "algorithm_names",
     "broadcast",

@@ -34,12 +34,8 @@ class BroadcastAlgorithm:
         if topology.num_nodes < 2:
             raise ValueError("broadcast needs at least two nodes")
         self.topology = topology
-        self._check_topology(topology)
 
     # -- hooks ------------------------------------------------------------
-    def _check_topology(self, topology: Topology) -> None:
-        """Reject unsupported topologies (subclass hook)."""
-
     def build_schedule(self, source: Coordinate) -> BroadcastSchedule:
         """Construct the schedule (subclass responsibility)."""
         raise NotImplementedError

@@ -1,10 +1,9 @@
 """Interconnection-network substrate.
 
-Models the hardware the paper simulates: k-ary n-dimensional meshes
-(plus torus and hypercube extensions), unidirectional physical channels
-with single FIFO queues, nodes with a configurable number of injection
-ports, and wormhole-switched path transmission with coded-path
-(multidestination) delivery.
+Models the hardware the paper simulates: k-ary n-dimensional meshes,
+unidirectional physical channels with single FIFO queues, nodes with a
+configurable number of injection ports, and wormhole-switched path
+transmission with coded-path (multidestination) delivery.
 """
 
 from repro.network.coordinates import (
@@ -17,8 +16,6 @@ from repro.network.coordinates import (
     to_index,
 )
 from repro.network.topology import Mesh, Topology
-from repro.network.torus import Torus
-from repro.network.hypercube import Hypercube
 from repro.network.channel import Channel, ChannelTiming
 from repro.network.message import Message, MessageKind, ControlField
 from repro.network.node import Node
@@ -33,7 +30,6 @@ __all__ = [
     "Coordinate",
     "FaultModel",
     "FaultyChannelError",
-    "Hypercube",
     "Mesh",
     "Message",
     "MessageKind",
@@ -42,7 +38,6 @@ __all__ = [
     "Node",
     "PathTransmission",
     "Topology",
-    "Torus",
     "TransmissionResult",
     "add",
     "chebyshev_distance",

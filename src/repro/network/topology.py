@@ -6,9 +6,8 @@ channels are *unidirectional*: each bidirectional mesh link contributes
 two directed channels, matching the router model in Duato et al. that
 the paper builds on.
 
-:class:`Mesh` is the paper's subject — the k-ary n-dimensional mesh.
-The torus and hypercube (the "future directions" topologies named in the
-paper's conclusion) live in sibling modules.
+:class:`Mesh` is the paper's subject — the k-ary n-dimensional mesh —
+and the only topology the package implements.
 """
 
 from __future__ import annotations

@@ -20,8 +20,6 @@ Store
     FIFO message store (used for node inboxes).
 RandomStreams
     Named, independently seeded RNG streams for reproducibility.
-Monitor
-    Time-series recorder for simulation statistics.
 """
 
 from repro.sim.engine import Environment, SimulationError
@@ -29,7 +27,6 @@ from repro.sim.event import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import PriorityResource, Request, Resource, Store
 from repro.sim.rng import RandomStreams
-from repro.sim.monitor import Monitor
 
 __all__ = [
     "AllOf",
@@ -37,7 +34,6 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
-    "Monitor",
     "PriorityResource",
     "Process",
     "RandomStreams",

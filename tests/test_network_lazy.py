@@ -16,7 +16,6 @@ from repro.core.executors import EventDrivenExecutor
 from repro.network import Mesh, NetworkConfig, NetworkSimulator
 from repro.network.faults import FaultModel
 from repro.network.topology import Topology
-from repro.network.torus import Torus
 from repro.traffic import MixedTrafficConfig, MixedTrafficSimulation
 
 
@@ -33,9 +32,7 @@ def eager(net):
 
 
 # --------------------------------------------------------- mapping views
-@pytest.mark.parametrize(
-    "topology", [Mesh((3, 4)), Mesh((2, 3, 2)), Torus((4, 3))]
-)
+@pytest.mark.parametrize("topology", [Mesh((3, 4)), Mesh((2, 3, 2))])
 def test_views_equal_an_eager_dict(topology):
     reference = {key: None for key in topology.channels()}
     net = NetworkSimulator(topology)
@@ -79,13 +76,6 @@ def test_channel_lookup_rejects_non_channels():
     with pytest.raises(KeyError):
         net.channels[(0, 0)]
     assert built(net) == 0
-
-
-def test_torus_wraparound_channel_is_built_on_demand():
-    net = NetworkSimulator(Torus((4, 4)))
-    assert net.channel((0, 0), (3, 0)).dst == (3, 0)
-    with pytest.raises(KeyError):
-        net.channel((0, 0), (2, 0))
 
 
 # ----------------------------------------------------------------- faults

@@ -1,11 +1,9 @@
-"""Unit tests for RNG streams and monitors (`repro.sim.rng`, `repro.sim.monitor`)."""
-
-import math
+"""Unit tests for RNG streams (`repro.sim.rng`)."""
 
 import numpy as np
 import pytest
 
-from repro.sim import Monitor, RandomStreams
+from repro.sim import RandomStreams
 
 
 # ------------------------------------------------------------ RandomStreams
@@ -59,86 +57,3 @@ def test_choice_index_bounds():
     with pytest.raises(ValueError):
         s.choice_index("c", 0)
 
-
-# ---------------------------------------------------------------- Monitor
-def test_monitor_mean_std():
-    m = Monitor("lat")
-    for t, v in enumerate([2.0, 4.0, 6.0]):
-        m.record(float(t), v)
-    assert m.mean() == pytest.approx(4.0)
-    assert m.std() == pytest.approx(np.std([2.0, 4.0, 6.0]))
-
-
-def test_monitor_cv():
-    m = Monitor()
-    for t, v in enumerate([1.0, 2.0, 3.0]):
-        m.record(float(t), v)
-    expected = np.std([1, 2, 3]) / 2.0
-    assert m.coefficient_of_variation() == pytest.approx(expected)
-
-
-def test_monitor_cv_zero_mean():
-    m = Monitor()
-    m.record(0.0, 0.0)
-    m.record(1.0, 0.0)
-    assert m.coefficient_of_variation() == 0.0
-
-
-def test_monitor_cv_zero_mean_nonzero_std_is_inf():
-    m = Monitor()
-    m.record(0.0, -1.0)
-    m.record(1.0, 1.0)
-    assert math.isinf(m.coefficient_of_variation())
-
-
-def test_monitor_requires_time_order():
-    m = Monitor()
-    m.record(5.0, 1.0)
-    with pytest.raises(ValueError):
-        m.record(4.0, 1.0)
-
-
-def test_monitor_empty_stats_raise():
-    m = Monitor()
-    with pytest.raises(ValueError):
-        m.mean()
-    with pytest.raises(ValueError):
-        m.time_average()
-
-
-def test_monitor_since_filters():
-    m = Monitor()
-    for t in range(10):
-        m.record(float(t), float(t))
-    late = m.since(5.0)
-    assert len(late) == 5
-    assert late.minimum() == 5.0
-
-
-def test_monitor_time_average_piecewise_constant():
-    m = Monitor()
-    m.record(0.0, 1.0)   # value 1 on [0, 2)
-    m.record(2.0, 3.0)   # value 3 on [2, 4]
-    assert m.time_average(until=4.0) == pytest.approx(2.0)
-
-
-def test_monitor_time_average_until_before_last_raises():
-    m = Monitor()
-    m.record(0.0, 1.0)
-    m.record(2.0, 3.0)
-    with pytest.raises(ValueError):
-        m.time_average(until=1.0)
-
-
-def test_monitor_rate():
-    m = Monitor()
-    for t in range(5):
-        m.record(float(t) * 2.0, 0.0)  # 5 obs over 8 time units
-    assert m.rate() == pytest.approx(4 / 8)
-
-
-def test_monitor_clear():
-    m = Monitor()
-    m.record(0.0, 1.0)
-    m.clear()
-    assert len(m) == 0

@@ -1,9 +1,9 @@
-"""Unit + property tests for mesh/torus/hypercube topologies."""
+"""Unit + property tests for the mesh topology."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.network import Hypercube, Mesh, Torus
+from repro.network import Mesh
 
 mesh_dims = st.lists(st.integers(2, 5), min_size=1, max_size=3).map(tuple)
 
@@ -89,73 +89,3 @@ def test_mesh_neighbors_are_distance_one(dims):
         for v in m.neighbors(u):
             assert m.distance(u, v) == 1
 
-
-# ---------------------------------------------------------------- Torus
-def test_torus_wraparound_neighbors():
-    t = Torus((4, 4))
-    assert (3, 0) in t.neighbors((0, 0))
-    assert (0, 3) in t.neighbors((0, 0))
-
-
-def test_torus_distance_uses_wraparound():
-    t = Torus((8, 8))
-    assert t.distance((0, 0), (7, 0)) == 1
-    assert t.distance((0, 0), (4, 4)) == 8
-
-
-def test_torus_degree_is_uniform():
-    hist = Torus((4, 4, 4)).degree_histogram()
-    assert hist == {6: 64}
-
-
-def test_torus_radix2_no_duplicate_channels():
-    t = Torus((2, 4))
-    for u in t.nodes():
-        nbrs = t.neighbors(u)
-        assert len(nbrs) == len(set(nbrs))
-
-
-def test_torus_ring():
-    t = Torus((4, 4))
-    assert t.ring((1, 2), axis=1) == [(1, y) for y in range(4)]
-
-
-def test_torus_distance_never_exceeds_mesh_distance():
-    t, m = Torus((5, 5)), Mesh((5, 5))
-    for u in t.nodes():
-        for v in t.nodes():
-            assert t.distance(u, v) <= m.distance(u, v)
-
-
-# ---------------------------------------------------------------- Hypercube
-def test_hypercube_shape():
-    h = Hypercube(4)
-    assert h.num_nodes == 16
-    assert h.dims == (2, 2, 2, 2)
-
-
-def test_hypercube_invalid_order():
-    with pytest.raises(ValueError):
-        Hypercube(0)
-
-
-def test_hypercube_neighbors_are_bit_flips():
-    h = Hypercube(3)
-    assert sorted(h.neighbors((0, 0, 0))) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
-
-
-def test_hypercube_distance_is_hamming():
-    h = Hypercube(4)
-    assert h.distance((0, 0, 0, 0), (1, 1, 1, 1)) == 4
-    assert h.distance((1, 0, 1, 0), (1, 1, 1, 0)) == 1
-
-
-def test_hypercube_flip():
-    h = Hypercube(3)
-    assert h.flip((0, 1, 0), 1) == (0, 0, 0)
-    with pytest.raises(ValueError):
-        h.flip((0, 0, 0), 3)
-
-
-def test_hypercube_diameter_is_order():
-    assert Hypercube(5).diameter() == 5
