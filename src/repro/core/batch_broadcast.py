@@ -22,6 +22,11 @@ re-runs on the event-driven engine —
 * per-source dynamic checks (channel-occupancy conflicts, a walk that
   outruns its first delivery) hand just that source back.
 
+A launcher's worms that share their first channel are not a conflict:
+the later one queues there and the sweep models that FIFO handover
+exactly (see :mod:`repro.sim.batch`), so RD, EDN and DB batch every
+Fig. 1 source and only AB takes the event engine.
+
 Duplicate sources — common under the paper's uniform random draw —
 are planned and swept once and share their outcome; the event engine
 would recompute identical floats for each copy.

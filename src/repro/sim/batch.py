@@ -27,12 +27,33 @@ operation for operation:
   provably equivalent to the FIFO port Resource when all of a node's
   sends are launched at its single arrival time (they are: the
   event-driven executor launches a node's sends back-to-back inside one
-  delivery hook).
+  delivery hook);
+* a worm whose launcher sent an earlier worm over the same first
+  channel (``BatchPlan.worm_wait``) starts its walk at
+  ``max(begin + startup, R)``, ``R`` the predecessor's completion.
+
+First-channel handover
+----------------------
+A launcher with several ports (EDN's three) sends worms at once whose
+paths may share their first channel.  The DES queues the later worm on
+that channel's FIFO Resource; when the earlier worm completes at ``R``
+it releases the channel and the waiting header takes it at ``R`` and
+continues ``R + hop_time, …`` — the same left-fold from a new start.
+The predecessor is exact: a launcher's port grants come in launch
+order at nondecreasing times and same-time requests pop in eid (=
+launch) order, so the channel's FIFO order is launch order and the
+waiting worm follows the latest earlier worm with its first channel.
+A tie ``R == begin + startup`` needs no case of its own: whichever of
+the release and the request pops first, the header takes the channel
+at ``R``.  This is the one pair of same-source worms that does not
+commute under the HDA independence relation; every other pair uses
+disjoint channels or is refused by the occupancy check below.
 
 Eligibility and fallback
 ------------------------
 A schedule batches only when the sweep can *prove* the event-driven run
-would never wait and would record arrivals in nondecreasing order:
+waits only at first-channel handovers and records arrivals in
+nondecreasing order:
 
 * every send carries a pre-built path (adaptive waypoint sends resolve
   routing against live channel load — inherently event-driven);
@@ -46,7 +67,13 @@ would never wait and would record arrivals in nondecreasing order:
   overlapping (or even touching) logical intervals — checked *after*
   the sweep against the predicted occupancy windows
   ``[claim_time, completion]``; a conflict (which would make the DES
-  block) invalidates the whole source.
+  block) invalidates the whole source.  Exactly one touch is exempt:
+  adjacent windows where the later worm's ``worm_wait`` is the earlier
+  worm and it claims at the earlier one's completion — the modelled
+  handover.  A third worm on such a channel, a worm of another
+  launcher, or a shared later channel always leaves a non-exempt
+  overlap, so the check stays the proof; it does not lean on the
+  prefix structure of dimension-ordered routes.
 
 Anything that fails these checks is reported through the ``ok`` mask of
 :class:`BatchSweepResult` and must be re-run per-source on the
@@ -98,6 +125,9 @@ class BatchPlan:
     chan_ptr: np.ndarray
     #: channel key ``u_idx * n_nodes + v_idx``
     chan_key: np.ndarray
+    #: per worm, the latest earlier worm of the same launcher whose
+    #: first channel is the same (its FIFO predecessor there), or -1
+    worm_wait: np.ndarray
     #: delivered node indices (== every covered node except the source)
     delivered_nodes: np.ndarray
     #: same order as ``delivered_nodes``, as coordinate tuples
@@ -111,7 +141,8 @@ class BatchSweepResult:
     ``node_time[k, i]`` is the full-message arrival time of node ``i``
     under plan ``k`` (NaN where not delivered); ``ok[k]`` is false when
     plan ``k`` violated an eligibility condition the sweep could only
-    check dynamically (channel-occupancy conflict, unreachable
+    check dynamically (channel-occupancy conflict other than a
+    first-channel handover, unreachable
     launcher, walk outrunning its first delivery) and must be re-run
     event-driven.
     """
@@ -145,10 +176,12 @@ def plan_broadcast(
     deliv_node: List[int] = []
     chan_ptr: List[int] = [0]
     chan_key: List[int] = []
+    worm_wait: List[int] = []
     delivered: Dict[Tuple[int, ...], int] = {}
 
     for sender, sends in template.items():
         launcher_nodes.append(node_index[tuple(sender)])
+        last_on_first: Dict[int, int] = {}
         for _step, send in sends:
             path = send.path
             if path is None:
@@ -175,7 +208,10 @@ def plan_broadcast(
                     node_index[previous] * n_nodes + node_index[node]
                 )
                 previous = node
+            first_key = chan_key[chan_ptr[-1]]
             chan_ptr.append(len(chan_key))
+            worm_wait.append(last_on_first.get(first_key, -1))
+            last_on_first[first_key] = len(worm_hops)
             worm_hops.append(path.hop_count)
             worm_first.append(first_hop)
         launcher_ptr.append(len(worm_hops))
@@ -203,6 +239,7 @@ def plan_broadcast(
         deliv_node=np.asarray(deliv_node, dtype=np.int64),
         chan_ptr=np.asarray(chan_ptr, dtype=np.int64),
         chan_key=np.asarray(chan_key, dtype=np.int64),
+        worm_wait=np.asarray(worm_wait, dtype=np.int64),
         delivered_nodes=np.asarray(
             sorted(delivered.values()), dtype=np.int64
         ),
@@ -297,6 +334,12 @@ def sweep_broadcasts(
     chan_gkey = np.concatenate(
         [p.chan_key + k * n_nodes * n_nodes for k, p in enumerate(plans)]
     )
+    worm_wait = np.concatenate(
+        [
+            np.where(p.worm_wait >= 0, p.worm_wait + w_off[k], -1)
+            for k, p in enumerate(plans)
+        ]
+    )
 
     ok = np.ones(K, dtype=bool)
     # Static wave-eligibility: the walk must end no later than the first
@@ -317,6 +360,9 @@ def sweep_broadcasts(
     port_rows = np.zeros((n_launchers, ports))
     next_ptr = np.zeros(n_launchers, dtype=np.int64)
     node_time = np.full(K * n_nodes, np.nan)
+    # Completion per global worm; the extra last slot (-inf) is what a
+    # worm_wait of -1 indexes, so "no predecessor" needs no branch.
+    worm_done = np.full(int(w_off[-1]) + 1, -np.inf)
 
     source_launchers = node_to_launcher[
         np.asarray(
@@ -331,6 +377,7 @@ def sweep_broadcasts(
     occ_key: List[np.ndarray] = []
     occ_begin: List[np.ndarray] = []
     occ_end: List[np.ndarray] = []
+    occ_worm: List[np.ndarray] = []
 
     while True:
         ready = np.flatnonzero(
@@ -343,11 +390,14 @@ def sweep_broadcasts(
         # Port begin: rows are kept sorted and every entry is >= the
         # launcher's arrival, so the min (column 0) is the heap pop.
         begin = port_rows[ready, 0]
-        injected = begin + startup
+        # A worm queued behind its launcher's earlier worm on their
+        # shared first channel takes that channel when the earlier one
+        # completes (FIFO in launch order) and walks on from there.
+        start = np.maximum(begin + startup, worm_done[worm_wait[w]])
         hops = worm_hops[w]
         max_hops = int(hops.max())
         times = np.empty((nw, max_hops + 1))
-        times[:, 0] = injected
+        times[:, 0] = start
         for h in range(max_hops):
             # The exact left-fold of the per-hop walk: an elementwise
             # IEEE add per hop, never a closed-form hops * hop_time.
@@ -363,6 +413,7 @@ def sweep_broadcasts(
         node_time[deliv_gnode[dflat]] = arrival_t
         last_arrival = arrival_t[np.cumsum(dcount) - 1]
         completed = np.maximum(walk_end, last_arrival)
+        worm_done[w] = completed
 
         cstart = chan_start[w]
         ccount = chan_count[w]
@@ -375,6 +426,7 @@ def sweep_broadcasts(
             occ_key.append(chan_gkey[_csr_gather(cstart, ccount)])
             occ_begin.append(times[crow, cpos])
             occ_end.append(completed[crow])
+            occ_worm.append(w[crow])
 
         # Heap push: drop the popped column 0, insert the completion,
         # restore sorted order.
@@ -405,18 +457,27 @@ def sweep_broadcasts(
     # Channel-occupancy conflicts: any same-source directed channel
     # whose predicted windows overlap — or merely touch, where DES
     # event order between release and claim is ambiguous — invalidates
-    # its source.  No conflict ⟹ (by induction on the first deviation)
-    # the event-driven run never waits and reproduces the prediction.
+    # its source, except the one touch the sweep modelled: a worm
+    # claiming its first channel at the completion of its FIFO
+    # predecessor there (``worm_wait``).  No other conflict ⟹ (by
+    # induction on the first deviation) the event-driven run waits
+    # only at those handovers and reproduces the prediction.
     if occ_key:
         keys = np.concatenate(occ_key)
         begins = np.concatenate(occ_begin)
         ends = np.concatenate(occ_end)
+        worms = np.concatenate(occ_worm)
         order = np.lexsort((begins, keys))
         keys = keys[order]
         begins = begins[order]
         ends = ends[order]
+        worms = worms[order]
         same = keys[1:] == keys[:-1]
         clash = same & (begins[1:] <= ends[:-1])
+        handover = (begins[1:] == ends[:-1]) & (
+            worm_wait[worms[1:]] == worms[:-1]
+        )
+        clash &= ~handover
         if clash.any():
             bad = np.unique(keys[1:][clash] // (n_nodes * n_nodes))
             ok[bad] = False

@@ -5,9 +5,11 @@ speed*: every per-source outcome — arrival dict (insertion order
 included), derived latency statistics, unit-record floats and the
 content hash of the record's spec — must match the per-source
 event-driven engine exactly, with ineligible sources (adaptive
-schedules, faulty channels, walks that outrun their first delivery)
-silently falling back per source.  These tests pin that contract, the
-engine knob's resolution order, and the cost model's engine feature.
+schedules, faulty channels, walks that outrun their first delivery,
+channel-occupancy conflicts other than a launcher's first-channel
+handover) silently falling back per source.  These tests pin that
+contract, the engine knob's resolution order, and the cost model's
+engine feature.
 """
 
 import dataclasses
@@ -34,10 +36,14 @@ from repro.campaigns.units import (
     broadcast_engine,
     set_broadcast_engine,
 )
+from repro.core.base import BroadcastAlgorithm
 from repro.core.batch_broadcast import run_batch_broadcasts
+from repro.core.registry import ALGORITHMS
+from repro.core.schedule import BroadcastSchedule, BroadcastStep, PathSend
 from repro.experiments.common import random_sources, run_single_broadcasts
 from repro.network.faults import FaultyChannelError
 from repro.obs.simprof import SimProfile
+from repro.routing.paths import Path
 
 
 @pytest.fixture(autouse=True)
@@ -84,7 +90,9 @@ def test_batched_matches_event_engine_properties():
 
     @settings(max_examples=20, deadline=None)
     @given(
-        dims=st.sampled_from([(4, 4), (5, 3), (2, 6), (8, 8), (3, 3, 3)]),
+        dims=st.sampled_from(
+            [(4, 4), (5, 3), (2, 6), (8, 8), (3, 3, 3), (4, 4, 4), (4, 4, 8)]
+        ),
         algorithm=st.sampled_from(["RD", "EDN", "DB", "AB"]),
         length=st.sampled_from([4, 32, 128, 512]),
         seed=st.integers(min_value=0, max_value=50),
@@ -137,6 +145,145 @@ def test_adaptive_algorithm_falls_back_whole_batch():
     assert profile.batch_sources_batched == 0
     assert profile.batch_sources_fallback == len(sources)
     assert profile.batch_batched_ratio == 0.0
+
+
+# ------------------------------------------- first-channel handovers
+@pytest.mark.parametrize(
+    "dims, length, ports, sources",
+    [
+        # Fig. 1 sizes and message length.
+        ((4, 4, 4), 100, None, random_sources((4, 4, 4), 3, seed=4)),
+        ((8, 8, 8), 100, None, random_sources((8, 8, 8), 3, seed=4)),
+        ((10, 10, 10), 100, None, random_sources((10, 10, 10), 3, seed=4)),
+        # Sources with a worm whose port frees at exactly the completion
+        # of its first-channel predecessor (R == begin + Ts), so the DES
+        # may pop the channel release or the request first.
+        ((4, 4, 8), 512, None, [(1, 1, 1)]),
+        ((4, 4, 4), 32, 2, [(2, 3, 3), (2, 2, 2)]),
+    ],
+)
+def test_edn_batches_every_source(dims, length, ports, sources):
+    # EDN launchers send up to three worms at once whose paths share
+    # their first channel; the sweep models that FIFO handover, so no
+    # source falls back.
+    profile = SimProfile()
+    event = run_single_broadcasts(
+        "EDN", dims, sources, length, ports_override=ports
+    )
+    batched = run_batch_broadcasts(
+        "EDN", dims, sources, length, ports_override=ports, profile=profile
+    )
+    assert_outcomes_identical(batched, event)
+    assert profile.batch_sources_fallback == 0
+    assert profile.batch_sources_batched == len(sources)
+
+
+def test_edn_batches_on_the_largest_fig1_mesh():
+    dims = (16, 16, 16)
+    profile = SimProfile()
+    run_batch_broadcasts(
+        "EDN", dims, random_sources(dims, 1, seed=4), 100, profile=profile
+    )
+    assert profile.batch_sources_fallback == 0
+    assert profile.batch_sources_batched == 1
+
+
+def _run_hand_built(monkeypatch, sends, dims, length, startup_latency=1.5):
+    """Run a one-step, two-port schedule of explicit paths on both engines.
+
+    ``sends`` is a list of ``(path nodes, deliveries)``; the first
+    path's first node is the broadcast source.  Returns the event
+    engine's outcome and the batched run's profile, after checking the
+    two engines agree.
+    """
+    source = tuple(sends[0][0][0])
+    schedule = BroadcastSchedule(
+        algorithm="HAND",
+        source=source,
+        steps=[
+            BroadcastStep(
+                1,
+                [
+                    PathSend(
+                        source=tuple(path[0]),
+                        deliveries=frozenset(deliveries),
+                        path=Path(path, deliveries),
+                    )
+                    for path, deliveries in sends
+                ],
+            )
+        ],
+    )
+    algorithm = type(
+        "HandBuilt",
+        (BroadcastAlgorithm,),
+        {
+            "name": "HAND",
+            "ports_required": 2,
+            "build_schedule": lambda self, _source: schedule,
+        },
+    )
+    monkeypatch.setitem(ALGORITHMS, "HAND", algorithm)
+    kwargs = dict(startup_latency=startup_latency)
+    profile = SimProfile()
+    event = run_single_broadcasts("HAND", dims, [source], length, **kwargs)
+    batched = run_batch_broadcasts(
+        "HAND", dims, [source], length, profile=profile, **kwargs
+    )
+    assert_outcomes_identical(batched, event)
+    return event[0], profile
+
+
+def test_shared_first_channel_hands_over_and_batches(monkeypatch):
+    # Both worms leave (0, 0) over (0, 0)->(1, 0) at the same instant;
+    # the second queues there until the first completes, then walks on.
+    outcome, profile = _run_hand_built(
+        monkeypatch,
+        [
+            ([(0, 0), (1, 0), (2, 0), (3, 0)], [(1, 0), (2, 0), (3, 0)]),
+            ([(0, 0), (1, 0), (1, 1), (1, 2)], [(1, 1), (1, 2)]),
+        ],
+        (4, 4),
+        32,
+    )
+    assert profile.batch_sources_batched == 1
+    assert profile.batch_sources_fallback == 0
+    # The second worm's deliveries come after the first worm's last.
+    assert outcome.arrivals[(1, 1)] > outcome.arrivals[(3, 0)]
+
+
+def test_two_launchers_on_one_channel_fall_back(monkeypatch):
+    # (1, 1) relaunches over (2, 0)->(3, 0) while the source's first
+    # worm still holds it (a 0.001 us start-up makes that possible):
+    # the DES blocks there, so the source must run event-driven.
+    _, profile = _run_hand_built(
+        monkeypatch,
+        [
+            ([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0)], [(5, 0)]),
+            ([(0, 0), (0, 1), (1, 1)], [(1, 1)]),
+            ([(1, 1), (2, 1), (2, 0), (3, 0)], [(3, 0)]),
+        ],
+        (6, 2),
+        64,
+        startup_latency=0.001,
+    )
+    assert profile.batch_sources_fallback == 1
+
+
+def test_remerging_worms_of_one_launcher_fall_back(monkeypatch):
+    # Two worms leave (0, 0) on different channels and meet on
+    # (2, 1)->(3, 1), claiming it at the same instant: not a
+    # first-channel handover, so the source must run event-driven.
+    _, profile = _run_hand_built(
+        monkeypatch,
+        [
+            ([(0, 0), (1, 0), (2, 0), (2, 1), (3, 1)], [(3, 1)]),
+            ([(0, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)], [(3, 2)]),
+        ],
+        (4, 3),
+        32,
+    )
+    assert profile.batch_sources_fallback == 1
 
 
 # --------------------------------------------------------------- faults
