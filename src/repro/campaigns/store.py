@@ -49,7 +49,7 @@ import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set
+from typing import Any, Dict, Iterator, List, Optional, Set
 
 from repro.campaigns.spec import CampaignSpec, UnitSpec
 
@@ -311,11 +311,6 @@ class CampaignStore(abc.ABC):
     def append(self, record: UnitRecord) -> None:
         """Durably store one record (creating the store on demand)."""
 
-    def extend(self, records: Iterable[UnitRecord]) -> None:
-        """Append many records."""
-        for record in records:
-            self.append(record)
-
     def get(self, unit_hash: str) -> Optional[UnitRecord]:
         """The stored record for one unit, or ``None``.
 
@@ -517,14 +512,30 @@ def _decode_line(line: bytes) -> Optional[UnitRecord]:
 #: Backwards-compatible name: the original store class was ``ResultStore``.
 ResultStore = JsonlStore
 
+#: Connections a forked child inherited from its parent's
+#: :class:`SqliteStore` handles; kept referenced so the child never
+#: closes them.
+_INHERITED_CONNECTIONS: List[sqlite3.Connection] = []
+
 
 class SqliteStore(CampaignStore):
     """SQLite-backed store, safe for concurrent pools on one host.
 
     The database runs in WAL mode so many processes can append records
     while readers aggregate; leases live in a second table and are
-    arbitrated by SQLite's own locking.  Connections are opened per
-    operation, which keeps the store picklable and fork-safe.
+    arbitrated by SQLite's own locking.
+
+    Each handle keeps one connection per process and reuses it for
+    every operation, guarded by the handle's lock so threads can share
+    the handle: closing a database's last open connection checkpoints
+    its WAL and deletes the ``-wal``/``-shm`` files, which would make
+    every operation rebuild the WAL.  Each operation is one transaction
+    and leaves no statement or read transaction open, so other
+    processes' writes show at the next call.  The handle re-opens when
+    the file is gone or has a new ``(st_dev, st_ino)``, and in a forked
+    child, which never uses or closes its parent's connection.
+    Pickling drops the connection, so pool workers receive only the
+    path.
 
     Example::
 
@@ -537,6 +548,10 @@ class SqliteStore(CampaignStore):
 
     backend = "sqlite"
     supports_leases = True
+    #: per-process handle state that pickling drops (rebuilt by the receiver)
+    _HANDLE_ATTRS = (
+        "_lock", "_con", "_pid", "_identity", "_wal_ready", "_schema_ready"
+    )
 
     _SCHEMA = (
         "CREATE TABLE IF NOT EXISTS records ("
@@ -551,52 +566,101 @@ class SqliteStore(CampaignStore):
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._schema_ready = False
+        self._reset()
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {
+            key: value
+            for key, value in self.__dict__.items()
+            if key not in self._HANDLE_ATTRS
+        }
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._reset()
+
+    def _reset(self) -> None:
+        self._lock = threading.Lock()
+        self._con: Optional[sqlite3.Connection] = None
+        self._pid = os.getpid()
+        self._identity: Optional[tuple] = None
         self._wal_ready = False
+        self._schema_ready = False
 
     @contextmanager
     def _connect(self) -> Iterator[sqlite3.Connection]:
-        """One transaction on a fresh, properly closed connection.
-
-        Connections are per operation (keeps the store picklable and
-        fork-safe); the WAL pragma and schema DDL run only until they
-        have succeeded once per store instance.
-        """
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        con = sqlite3.connect(self.path, timeout=30.0)
-        try:
-            con.execute("PRAGMA busy_timeout=30000")
-            if not self._wal_ready:
-                try:
-                    con.execute("PRAGMA journal_mode=WAL")
-                    self._wal_ready = True
-                except sqlite3.OperationalError:
-                    # Switching journal modes takes an exclusive lock
-                    # the busy handler cannot wait out while a peer
-                    # pool holds a shared lock mid-conversion (two
-                    # pools racing to open a fresh store).  WAL is a
-                    # throughput preference, not a correctness
-                    # requirement: proceed in the current mode and try
-                    # again on the next connection.
-                    pass
-            if not self._schema_ready:
-                for statement in self._SCHEMA:
-                    con.execute(statement)
-                try:
-                    # Databases created before failure records existed
-                    # lack the status column; CREATE IF NOT EXISTS
-                    # leaves them untouched, so migrate in place.
-                    con.execute(
-                        "ALTER TABLE records ADD COLUMN"
-                        " status TEXT NOT NULL DEFAULT 'ok'"
-                    )
-                except sqlite3.OperationalError:
-                    pass  # column already present (fresh schema)
-                self._schema_ready = True
+        """One transaction on this process's connection, under the lock."""
+        if self._pid != os.getpid():
+            # A forked child.  Closing the parent's connection here
+            # could checkpoint and delete the parent's live WAL, so it
+            # stays referenced (never collected) and unused.
+            if self._con is not None:
+                _INHERITED_CONNECTIONS.append(self._con)
+            self._reset()
+        with self._lock:
+            con = self._open()
             with con:
                 yield con
-        finally:
-            con.close()
+
+    def _open(self) -> sqlite3.Connection:
+        """The handle's connection, re-opened when the file is gone or
+        replaced; the WAL pragma and schema DDL run on each new
+        connection until they have succeeded (caller holds ``_lock``)."""
+        try:
+            st = os.stat(self.path)
+            identity: Optional[tuple] = (st.st_dev, st.st_ino)
+        except FileNotFoundError:
+            identity = None
+        con = self._con
+        if con is None or identity is None or identity != self._identity:
+            if con is not None:
+                self._con = None
+                try:
+                    # Closing a moved database leaves its -wal/-shm
+                    # behind, and a new connection at this path would
+                    # replay those frames into the new file: empty the
+                    # old WAL first.
+                    con.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+                except sqlite3.Error:
+                    pass  # best effort: the old file is not the store now
+                finally:
+                    con.close()
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            con = sqlite3.connect(
+                self.path, timeout=30.0, check_same_thread=False
+            )
+            con.execute("PRAGMA busy_timeout=30000")
+            st = os.stat(self.path)
+            self._con = con
+            self._identity = (st.st_dev, st.st_ino)
+            self._wal_ready = self._schema_ready = False
+        if not self._wal_ready:
+            try:
+                con.execute("PRAGMA journal_mode=WAL")
+                self._wal_ready = True
+            except sqlite3.OperationalError:
+                # Switching journal modes takes an exclusive lock the
+                # busy handler cannot wait out while a peer pool holds
+                # a shared lock mid-conversion (two pools racing to
+                # open a fresh store).  WAL is a throughput preference,
+                # not a correctness requirement: proceed in the current
+                # mode and try again on the next call.
+                pass
+        if not self._schema_ready:
+            for statement in self._SCHEMA:
+                con.execute(statement)
+            try:
+                # Databases created before failure records existed lack
+                # the status column; CREATE IF NOT EXISTS leaves them
+                # untouched, so migrate in place.
+                con.execute(
+                    "ALTER TABLE records ADD COLUMN"
+                    " status TEXT NOT NULL DEFAULT 'ok'"
+                )
+            except sqlite3.OperationalError:
+                pass  # column already present (fresh schema)
+            self._schema_ready = True
+        return con
 
     def records(self) -> Dict[str, UnitRecord]:
         if not self.path.exists():

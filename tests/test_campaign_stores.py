@@ -12,11 +12,17 @@ against all four backends — including http — by
 ``test_store_conformance.py``.
 """
 
+import gc
 import json
+import os
+import pickle
+import sys
 import threading
 import time
 
 import pytest
+
+import repro.campaigns.store as store_module
 
 from repro.campaigns import (
     BACKENDS,
@@ -35,6 +41,7 @@ from repro.campaigns import (
     run_campaign,
 )
 from repro.campaigns.pool import register_unit_runner
+from repro.campaigns.store import UnitRecord
 from repro.cli import main
 from repro.experiments.common import broadcast_units
 from repro.obs.trace import read_trace_dir
@@ -223,6 +230,162 @@ def test_two_concurrent_pools_execute_each_unit_once(backend, tmp_path):
     assert sorted(executed) == sorted(spec.unit_hashes())  # once each
     assert results["a"] == results["b"]
     assert [r.unit_hash for r in results["a"]] == spec.unit_hashes()
+
+
+# --------------------------------------------------------- sqlite handle
+# A handle keeps one connection per process: closing a database's last
+# connection checkpoints and deletes its WAL, so a connection per call
+# would rebuild the WAL on every claim, get, append and release.  The
+# cost is pinned by counting connections, not by timing them.
+@pytest.fixture
+def sqlite_connects(monkeypatch):
+    """Paths of every ``sqlite3.connect`` the store module makes."""
+    opened = []
+    connect = store_module.sqlite3.connect
+
+    def counting_connect(database, *args, **kwargs):
+        opened.append(database)
+        return connect(database, *args, **kwargs)
+
+    monkeypatch.setattr(store_module.sqlite3, "connect", counting_connect)
+    return opened
+
+
+def _record(i):
+    return UnitRecord(
+        unit_hash=f"h{i:05d}",
+        experiment="fig1",
+        spec={"replication": i},
+        result={"network_latency": float(i)},
+    )
+
+
+def test_sqlite_handle_reuses_one_connection(tmp_path, sqlite_connects):
+    store = SqliteStore(tmp_path / "c.sqlite")
+    for i in range(200):
+        record = _record(i)
+        assert store.try_claim(record.unit_hash, "owner")
+        assert store.get(record.unit_hash) is None
+        store.append(record)
+        store.release(record.unit_hash, "owner")
+    assert len(sqlite_connects) == 1
+    assert len(store.records()) == 200
+    assert store.leased_hashes() == set()
+    assert len(sqlite_connects) == 1
+    # No call leaves a read transaction open: a peer can checkpoint the
+    # whole WAL (the first column is 1 when a reader blocks it).
+    peer = store_module.sqlite3.connect(store.path)
+    try:
+        busy = peer.execute("PRAGMA wal_checkpoint(TRUNCATE)").fetchone()[0]
+    finally:
+        peer.close()
+    assert busy == 0
+
+
+def test_pickled_sqlite_handle_opens_its_own_connection(
+    tmp_path, sqlite_connects
+):
+    store = SqliteStore(tmp_path / "c.sqlite")
+    store.append(_record(0))
+    clone = pickle.loads(pickle.dumps(store))
+    assert len(sqlite_connects) == 1
+    assert clone.get("h00000") == _record(0)
+    clone.append(_record(1))
+    assert len(sqlite_connects) == 2
+    assert store.get("h00001") == _record(1)
+    assert len(sqlite_connects) == 2
+
+
+def test_pooled_sqlite_run_opens_constant_connections(
+    tmp_path, sqlite_connects
+):
+    # Pool workers are forked, so only the coordinating process's
+    # connections land in this process's counter.
+    spec = counting_campaign(tmp_path / "executions.log", n_units=40)
+    store = SqliteStore(tmp_path / "c.sqlite")
+    records = run_campaign(spec, workers=2, store=store)
+    assert [r.unit_hash for r in records] == spec.unit_hashes()
+    assert len(sqlite_connects) <= 2
+
+
+def test_forked_child_writes_through_the_parents_handle(tmp_path):
+    store = SqliteStore(tmp_path / "c.sqlite")
+    store.append(_record(0))
+    pid = os.fork()
+    if pid == 0:  # the child: its own lock and connection
+        code = 1
+        try:
+            store.append(_record(1))
+            code = 0 if store.get("h00000") == _record(0) else 2
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert store.get("h00001") == _record(1)
+    store.append(_record(2))
+    assert set(store.records()) == {"h00000", "h00001", "h00002"}
+    assert set(SqliteStore(store.path).records()) == set(store.records())
+
+
+def test_sqlite_handle_survives_its_file_being_deleted(tmp_path):
+    path = tmp_path / "c.sqlite"
+    store = SqliteStore(path)
+    store.append(_record(0))
+    for suffix in ("", "-wal", "-shm"):
+        path.with_name(path.name + suffix).unlink(missing_ok=True)
+    assert store.records() == {}
+    assert store.get("h00000") is None
+    store.append(_record(1))  # recreates the schema
+    assert store.records() == {"h00001": _record(1)}
+    assert SqliteStore(path).records() == {"h00001": _record(1)}
+
+
+def test_sqlite_handle_follows_a_replaced_file(tmp_path):
+    path = tmp_path / "c.sqlite"
+    store = SqliteStore(path)
+    for i in range(50):
+        store.append(_record(i))
+    other = tmp_path / "other.sqlite"
+    writer = SqliteStore(other)
+    writer.append(_record(99))
+    del writer
+    gc.collect()  # a connection sits in a reference cycle until collected
+    assert not other.with_name("other.sqlite-wal").exists()  # closed
+    before = os.stat(path).st_ino
+    os.replace(other, path)
+    assert os.stat(path).st_ino != before
+    assert store.records() == {"h00099": _record(99)}
+    store.append(_record(100))
+    assert set(SqliteStore(path).records()) == {"h00099", "h00100"}
+
+
+def test_sqlite_handle_is_shared_by_threads(tmp_path):
+    store = SqliteStore(tmp_path / "c.sqlite")
+    errors = []
+
+    def work(t):
+        try:
+            for i in range(t * 50, t * 50 + 50):
+                record = _record(i)
+                assert store.try_claim(record.unit_hash, f"owner-{t}")
+                store.append(record)
+        except Exception as exc:  # surfaced below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert set(store.records()) == {_record(i).unit_hash for i in range(400)}
+    assert len(store.leased_hashes()) == 400
 
 
 # ------------------------------------------------------------- schedule

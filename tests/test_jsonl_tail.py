@@ -87,7 +87,8 @@ def test_pickled_handle_carries_only_its_path(tmp_path):
     store.append(_record(0))
     store.records()
     small = len(pickle.dumps(store))
-    store.extend(_record(i) for i in range(1, 500))
+    for i in range(1, 500):
+        store.append(_record(i))
     assert len(store.records()) == 500
     assert len(pickle.dumps(store)) == small
     clone = pickle.loads(pickle.dumps(store))
@@ -223,7 +224,8 @@ def test_one_handle_shared_by_threads_never_loses_or_repeats_a_line(
 # -------------------------------------------------------------- aliasing
 def test_mutating_returned_records_does_not_change_the_cache(tmp_path):
     store = JsonlStore(tmp_path / "c.jsonl")
-    store.extend([_record(0), _record(1)])
+    store.append(_record(0))
+    store.append(_record(1))
     snapshot = store.records()
     snapshot.pop("h00000")
     snapshot["h00001"] = _record(99)
