@@ -14,8 +14,12 @@ cache:
   simulator (one thread draining misses through the ordinary
   :func:`~repro.campaigns.pool.run_campaign` machinery — engine
   selection, retry budget, failure records and lease protocol all
-  included), and the reply carries a *ticket* (the unit hash) that a
-  later query or :meth:`result` call redeems once the record lands.
+  included), and the reply is *held* until that thread lands the
+  unit's record or :data:`MISS_HOLD_S` passes.  A small miss
+  therefore answers ``hit`` (or ``failed``) in the same reply; a unit
+  still simulating when the hold expires answers ``pending`` with a
+  *ticket* (the unit hash) that a later query or :meth:`result` call
+  redeems once the record lands.
 * **failed** — the unit exhausted its retry budget and the store holds
   its failure record: the reply reports the reason and attempt count
   instead of re-simulating a known-poisonous point (clear it with
@@ -23,14 +27,16 @@ cache:
 
 Because the answer is whatever lands in the store, a fresh query's
 result is byte-identical to running the same unit via ``repro campaign
-run`` — the service adds no computation path of its own.
+run`` — the service adds no computation path of its own: the hold only
+waits for the drain thread, it never simulates in the request thread.
 
 Determinism: all service time comes from the ``clock`` callable
 injected at construction (default :func:`time.monotonic`; never
 ``time.time()``), so tests drive the whole request loop — including
 the SLO stats — with a scripted clock and replay it exactly.
-Answer latencies accumulate in one plain list, so ``/v1/stats``
-reports *exact* nearest-rank p50/p95/p99 over every answer.
+Answer latencies (hold time included) accumulate in one plain list, so
+``/v1/stats`` reports *exact* nearest-rank p50/p95/p99 over every
+answer.
 
 See ``docs/service.md`` for the query schema and the failure matrix.
 """
@@ -42,7 +48,7 @@ import math
 import queue
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.campaigns.pool import run_campaign
 from repro.campaigns.remote import JsonApiServer
@@ -53,6 +59,7 @@ from repro.obs.trace import NULL_TRACER
 
 __all__ = [
     "DEFAULT_SERVICE_PORT",
+    "MISS_HOLD_S",
     "QUERY_FIELDS",
     "ServiceError",
     "EstimatorService",
@@ -63,6 +70,13 @@ __all__ = [
 #: Conventional estimator port (``repro serve`` default) — one above
 #: the campaign coordinator's 8931 so both run side by side.
 DEFAULT_SERVICE_PORT = 8932
+
+#: Longest a miss's reply waits for the drain thread to land the
+#: unit's record before answering ``pending`` with a ticket.  Long
+#: enough for the small units a served oracle mostly sees (a few ms of
+#: simulation each), short enough that a big unit's caller gets its
+#: ticket promptly.
+MISS_HOLD_S = 0.25
 
 #: Accepted query-document fields (anything else is rejected loudly —
 #: a typo like ``"lenght_flits"`` must not silently hash to a
@@ -211,9 +225,13 @@ class EstimatorService:
 
         service = EstimatorService(open_store("campaigns/oracle.sqlite"))
         service.query({"algorithm": "DB", "dims": [8, 8, 8]})
-        # -> {"status": "pending", "ticket": "9f3b...", ...}
+        # a miss, held until the drain thread lands the record:
+        # -> {"status": "hit", "result": {"mean_latency": ...}, ...}
+        service.query({"algorithm": "RD", "dims": [32, 32, 32]})
+        # still simulating after MISS_HOLD_S:
+        # -> {"status": "pending", "ticket": "9f3b...", "queued": true}
         service.wait_idle()
-        service.query({"algorithm": "DB", "dims": [8, 8, 8]})
+        service.result("9f3b...")
         # -> {"status": "hit", "result": {"mean_latency": ...}, ...}
     """
 
@@ -236,7 +254,9 @@ class EstimatorService:
         self._counters: collections.Counter[str] = collections.Counter()
         self._latencies_s: List[float] = []
         self._total_s = 0.0
-        self._inflight: Set[str] = set()
+        # In-flight unit hash -> the event the drain thread sets once
+        # it has landed (or dropped) the unit; held replies wait on it.
+        self._inflight: Dict[str, threading.Event] = {}
         self._closed = False
         self._started_s = self.clock()
         self._queue: "queue.Queue[Optional[UnitSpec]]" = queue.Queue(
@@ -251,6 +271,8 @@ class EstimatorService:
     def query(self, doc: Dict[str, Any]) -> Dict[str, Any]:
         """Answer one query document (hit / pending / failed).
 
+        A miss is held for up to :data:`MISS_HOLD_S` while the drain
+        thread simulates it, so a small one answers ``hit`` here.
         Raises :class:`ServiceError` for malformed documents; only
         well-formed queries count toward the SLO stats.
         """
@@ -262,10 +284,12 @@ class EstimatorService:
         return self._observed(answer, started_s)
 
     def result(self, ticket: str) -> Dict[str, Any]:
-        """Redeem a pending ticket (the unit hash a miss returned)."""
+        """Redeem a pending ticket (the unit hash a miss returned),
+        holding the reply like :meth:`query` while the unit is in
+        flight."""
         started_s = self.clock()
         with self.tracer.span("svc.result", cat="svc", unit=ticket) as span:
-            answer = self._lookup(str(ticket))
+            answer = self._held(self._lookup(str(ticket)))
             span.set(status=answer["status"])
         return self._observed(answer, started_s, counter="svc.redeems")
 
@@ -291,7 +315,23 @@ class EstimatorService:
         answer = self._lookup(spec.unit_hash, spec)
         if answer["status"] == "pending" and not answer["queued"]:
             answer["queued"] = self._enqueue(spec)
-        return answer
+        return self._held(answer, spec)
+
+    def _held(
+        self, answer: Dict[str, Any], spec: Optional[UnitSpec] = None
+    ) -> Dict[str, Any]:
+        """Hold a ``pending`` reply whose unit is in flight until the
+        drain thread lands (or drops) it, then look the unit up again;
+        after :data:`MISS_HOLD_S` the reply stays ``pending``."""
+        if not answer.get("queued"):
+            return answer
+        with self._lock:
+            landed = self._inflight.get(answer["unit"])
+        if landed is not None and not landed.wait(MISS_HOLD_S):
+            with self._lock:
+                self._counters["svc.hold_expired"] += 1
+            return answer
+        return self._lookup(answer["unit"], spec)
 
     def _lookup(
         self, unit_hash: str, spec: Optional[UnitSpec] = None
@@ -322,13 +362,14 @@ class EstimatorService:
         with self._lock:
             if self._closed or spec.unit_hash in self._inflight:
                 return spec.unit_hash in self._inflight
-            self._inflight.add(spec.unit_hash)
+            self._inflight[spec.unit_hash] = threading.Event()
         try:
             self._queue.put_nowait(spec)
         except queue.Full:
             with self._lock:
-                self._inflight.discard(spec.unit_hash)
+                landed = self._inflight.pop(spec.unit_hash)
                 self._counters["svc.queue_full"] += 1
+            landed.set()  # wake any duplicate already holding on it
             return False
         self.tracer.event("svc.enqueue", cat="svc", unit=spec.unit_hash)
         return True
@@ -368,7 +409,8 @@ class EstimatorService:
                     self._counters["svc.simulate_errors"] += 1
             finally:
                 with self._lock:
-                    self._inflight.discard(spec.unit_hash)
+                    landed = self._inflight.pop(spec.unit_hash)
+                landed.set()  # release the replies held on this unit
                 self._queue.task_done()
 
     def wait_idle(self, timeout_s: float = 60.0) -> bool:
@@ -440,7 +482,9 @@ class EstimatorService:
 
         Queued-but-unstarted misses hold no leases (claims happen
         inside ``run_campaign``), so dropping them loses nothing — the
-        tickets stay redeemable and a re-query re-enqueues.  The unit
+        tickets stay redeemable and a re-query re-enqueues.  Replies
+        held on a dropped miss are released at once and answer
+        ``pending`` with ``queued: false``.  The unit
         actually simulating finishes and releases its lease through
         the ordinary campaign path, so after ``close`` the store holds
         no lease of ours.
@@ -457,7 +501,8 @@ class EstimatorService:
                 break
             if spec is not None:
                 with self._lock:
-                    self._inflight.discard(spec.unit_hash)
+                    landed = self._inflight.pop(spec.unit_hash)
+                landed.set()
                 dropped += 1
             self._queue.task_done()
         self._queue.put(None)

@@ -10,6 +10,14 @@ The contract under test, per layer:
   simulating (proven by arming ``REPRO_FAIL_UNITS`` for the unit: any
   execution would raise), and a miss simulated by the service lands a
   record byte-identical to ``campaign run`` executing the same unit.
+* **the held miss** — a miss's reply waits for the drain thread to
+  land the record, so a small miss answers ``hit`` in one call; a
+  unit still simulating after ``MISS_HOLD_S`` answers ``pending`` with
+  a ticket.  The ticket path is driven deterministically by gating the
+  drain thread's ``run_campaign`` on a test-owned event, and the
+  one-reply path by lengthening the bound (the hold ends as soon as the
+  record lands, so a long bound only removes the race with the host's
+  speed).
 * **determinism** — the whole request loop runs off the injected
   clock, so a scripted clock makes ``/v1/stats`` percentiles exactly
   hand-computable (nearest-rank over the scripted answer latencies).
@@ -24,6 +32,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
 from pathlib import Path
@@ -37,6 +46,7 @@ from repro.service import (
     EstimatorServer,
     EstimatorService,
     ServiceError,
+    estimator,
     spec_for_query,
 )
 
@@ -52,6 +62,36 @@ def seed_store(store, doc=QUERY):
         CampaignSpec(name="seed", seed=spec.seed, units=(spec,)), store=store
     )
     return spec
+
+
+@pytest.fixture
+def long_hold(monkeypatch):
+    """Hold a miss's reply until its record lands, however slow the host."""
+    monkeypatch.setattr(estimator, "MISS_HOLD_S", 60.0)
+
+
+class Gate:
+    """Blocks the drain thread's ``run_campaign`` until ``open`` is set;
+    ``entered`` is set once the drain thread has reached it."""
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.open = threading.Event()
+
+
+@pytest.fixture
+def gate(monkeypatch):
+    gate = Gate()
+    real_run_campaign = estimator.run_campaign
+
+    def gated(*args, **kwargs):
+        gate.entered.set()
+        gate.open.wait(30)
+        return real_run_campaign(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "run_campaign", gated)
+    yield gate
+    gate.open.set()  # never leave a drain thread parked
 
 
 def http_get(url):
@@ -150,20 +190,21 @@ def test_cache_hit_answers_without_simulating(tmp_path, monkeypatch):
     assert store.get(spec.unit_hash).ok  # no failure record appeared
 
 
-def test_miss_simulates_byte_identical_to_campaign_run(tmp_path):
+def test_miss_simulates_byte_identical_to_campaign_run(tmp_path, long_hold):
     doc = {**QUERY, "seed": 3}
+    spec = spec_for_query(doc)
     svc_store = open_store(tmp_path / "svc.sqlite")
     with EstimatorService(svc_store) as service:
+        # A small miss answers in one call: the reply is held until the
+        # drain thread lands the record.
         first = service.query(doc)
-        assert first["status"] == "pending"
-        assert first["queued"]
-        assert first["ticket"] == spec_for_query(doc).unit_hash
-        assert service.wait_idle(60)
-        second = service.query(doc)
-        assert second["status"] == "hit"
+        assert first["status"] == "hit"
+        assert first["ticket"] == first["unit"] == spec.unit_hash
+        stats = service.stats()
+    assert stats["answers"] == 1  # the held reply is one answer
+    assert stats["counters"]["svc.answer.hit"] == 1
     # The reference path: the ordinary campaign machinery executing
     # the same unit into a fresh store.
-    spec = spec_for_query(doc)
     ref_store = open_store(tmp_path / "ref.sqlite")
     run_campaign(
         CampaignSpec(name="ref", seed=spec.seed, units=(spec,)),
@@ -182,24 +223,35 @@ def test_miss_simulates_byte_identical_to_campaign_run(tmp_path):
         return json.dumps(data, sort_keys=True)
 
     assert canonical(mine) == canonical(ref)
-    assert second["result"] == ref.result
+    assert first["result"] == ref.result
 
 
-def test_pending_ticket_redeems_once_simulated(tmp_path):
+def test_pending_ticket_redeems_once_simulated(tmp_path, gate, monkeypatch):
     store = open_store(tmp_path / "svc.sqlite")
     with EstimatorService(store) as service:
-        ticket = service.query(QUERY)["ticket"]
+        # The drain thread is parked, so the hold expires: pending.
+        first = service.query(QUERY)
+        assert first["status"] == "pending"
+        assert first["queued"]
+        ticket = first["ticket"]
         early = service.result(ticket)
         assert early["status"] == "pending"
-        assert service.wait_idle(60)
+        assert early["queued"]
+        # A redeem is held like a query: it answers hit in one call
+        # once the gate opens and the record lands.
+        monkeypatch.setattr(estimator, "MISS_HOLD_S", 60.0)
+        threading.Timer(0.05, gate.open.set).start()
         redeemed = service.result(ticket)
         assert redeemed["status"] == "hit"
         assert redeemed["result"]["delivered"] > 0
-        # Repeated misses while in flight do not double-enqueue.
-        assert service.stats()["counters"]["svc.answer.hit"] == 1
+        counters = service.stats()["counters"]
+    assert counters["svc.answer.pending"] == 2
+    assert counters["svc.answer.hit"] == 1
+    assert counters["svc.hold_expired"] == 2
+    assert counters["svc.redeems"] == 2
 
 
-def test_duplicate_misses_enqueue_once(tmp_path):
+def test_duplicate_misses_enqueue_once(tmp_path, gate):
     store = open_store(tmp_path / "svc.sqlite")
     sink = ListSink()
     with EstimatorService(store, tracer=Tracer(sink, role="svc")) as service:
@@ -207,6 +259,7 @@ def test_duplicate_misses_enqueue_once(tmp_path):
             answer = service.query(QUERY)
             assert answer["status"] == "pending"
             assert answer["queued"]
+        gate.open.set()
         assert service.wait_idle(60)
         assert service.query(QUERY)["status"] == "hit"
     enqueues = [r for r in sink.records if r.get("name") == "svc.enqueue"]
@@ -218,22 +271,64 @@ def test_duplicate_misses_enqueue_once(tmp_path):
 
 
 def test_failed_unit_reports_failure_without_resimulating(
-    tmp_path, monkeypatch
+    tmp_path, monkeypatch, gate
 ):
     monkeypatch.setenv("REPRO_FAIL_UNITS", "*")
     store = open_store(tmp_path / "svc.sqlite")
-    with EstimatorService(store, retries=1) as service:
+    sink = ListSink()
+    with EstimatorService(
+        store, retries=1, tracer=Tracer(sink, role="svc")
+    ) as service:
+        # Parked drain thread: pending whatever the retry backoff is.
         assert service.query(QUERY)["status"] == "pending"
+        gate.open.set()
         assert service.wait_idle(60)
         answer = service.query(QUERY)
         assert answer["status"] == "failed"
         assert "InjectedFailureError" in answer["error"]
         assert answer["attempts"] == 2  # 1 retry → 2 attempts, then quarantine
         # A known-poisonous unit is not re-enqueued (its budget is spent).
-        assert service.wait_idle(10)
         assert service.query(QUERY)["status"] == "failed"
+        assert service.wait_idle(10)
     record = store.get(spec_for_query(QUERY).unit_hash)
     assert record.failed
+    enqueues = [r for r in sink.records if r.get("name") == "svc.enqueue"]
+    assert len(enqueues) == 1
+
+
+def test_close_wakes_replies_held_on_dropped_misses(tmp_path, gate, long_hold):
+    store = open_store(tmp_path / "svc.sqlite")
+    service = EstimatorService(store)
+    answers = {}
+
+    def ask(name, doc):
+        answers[name] = service.query(doc)
+
+    # ``running`` is taken by the (parked) drain thread; ``queued``
+    # waits behind it.  Both replies are held.
+    running = threading.Thread(target=ask, args=("running", QUERY))
+    running.start()
+    assert gate.entered.wait(10)
+    queued = threading.Thread(target=ask, args=("queued", OTHER_QUERY))
+    queued.start()
+    deadline = time.monotonic() + 10
+    while service.status()["inflight"] < 2 and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert service.status()["inflight"] == 2
+    closer = threading.Thread(target=service.close)
+    closer.start()
+    # The gate is still shut: only close() can have released this reply.
+    queued.join(10)
+    assert not queued.is_alive()
+    assert answers["queued"]["status"] == "pending"
+    assert answers["queued"]["queued"] is False
+    # The running unit finishes; its held reply answers in one call.
+    gate.open.set()
+    closer.join(60)
+    running.join(60)
+    assert not closer.is_alive() and not running.is_alive()
+    assert answers["running"]["status"] == "hit"
+    assert store.leased_hashes() == set()
 
 
 def test_close_stops_enqueueing_but_hits_still_answer(tmp_path):
@@ -366,7 +461,7 @@ def test_status_uptime_uses_injected_clock(tmp_path):
 
 
 # ----------------------------------------------------------- HTTP layer
-def test_http_endpoints_round_trip(tmp_path):
+def test_http_endpoints_round_trip(tmp_path, long_hold):
     store = open_store(tmp_path / "svc.sqlite")
     service = EstimatorService(store)
     with EstimatorServer(service, port=0) as server:
@@ -374,20 +469,57 @@ def test_http_endpoints_round_trip(tmp_path):
         assert status["ok"]
         assert status["service"] == "estimator"
         first = http_post(f"{server.url}/v1/query", QUERY)
-        assert first["status"] == "pending"
-        assert service.wait_idle(60)
+        assert first["status"] == "hit"  # a held miss: one round trip
         redeemed = http_get(
             f"{server.url}/v1/result?ticket={first['ticket']}"
         )
         assert redeemed["status"] == "hit"
+        assert redeemed["result"] == first["result"]
         again = http_post(f"{server.url}/v1/query", QUERY)
         assert again["status"] == "hit"
-        assert again["result"] == redeemed["result"]
+        assert again["result"] == first["result"]
         stats = http_get(f"{server.url}/v1/stats")
-        assert stats["answers"] == 3  # miss, redeem, hit
+        assert stats["answers"] == 3  # held miss, redeem, hit
+        assert stats["counters"]["svc.answer.hit"] == 3
         assert stats["answer_latency_s"]["p95"] > 0
     # The drain released every lease the miss simulation took.
     assert store.leased_hashes() == set()
+
+
+def test_identical_concurrent_misses_simulate_once(tmp_path, long_hold):
+    # More clients than cores, and a short switch interval, so a lost
+    # update to the in-flight table would show as a second enqueue.
+    store = open_store(tmp_path / "svc.sqlite")
+    sink = ListSink()
+    service = EstimatorService(store, tracer=Tracer(sink, role="svc"))
+    doc = {**QUERY, "seed": 11}
+    answers = [None] * 4
+    start = threading.Barrier(len(answers))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with EstimatorServer(service, port=0) as server:
+
+            def post(slot):
+                start.wait(10)
+                answers[slot] = http_post(f"{server.url}/v1/query", doc)
+
+            clients = [
+                threading.Thread(target=post, args=(slot,))
+                for slot in range(len(answers))
+            ]
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(30)
+                assert not client.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert [a["status"] for a in answers] == ["hit"] * len(answers)
+    assert all(a["result"] == answers[0]["result"] for a in answers)
+    names = [r.get("name") for r in sink.records]
+    assert names.count("svc.enqueue") == 1
+    assert names.count("svc.simulate") == 1
 
 
 # ------------------------------------------------------- graceful drain
