@@ -331,50 +331,80 @@ class EventDrivenExecutor:
     def _run(self, schedule: BroadcastSchedule, length_flits: int, kind: MessageKind):
         env = self.network.env
         start_time = env.now
-        pending = schedule.sends_by_node()
-        expected = len(schedule.covered_nodes()) - 1
-        arrivals: Dict[Coordinate, float] = {}
-        our_uids: set = set()
-        done = env.event()
-        transmissions = []
-
-        def launch_from(node: Coordinate) -> None:
-            for step, send in pending.pop(node, ()):
-                transmission = self._make_transmission(
-                    send, step, length_flits, kind
-                )
-                uid = transmission.message.uid
-                our_uids.add(uid)
-                # uid-keyed dispatch: this broadcast's deliveries reach
-                # only this hook, however many run concurrently.
-                self.network.add_uid_hook(uid, on_delivery)
-                transmissions.append(transmission.start())
-
-        def on_delivery(record: DeliveryRecord) -> None:
-            if record.node in arrivals:  # pragma: no cover - exactly-once guard
-                return
-            arrivals[record.node] = record.time
-            launch_from(record.node)
-            if len(arrivals) == expected and not done.triggered:
-                done.succeed()
-
+        run = _BroadcastRun(self, schedule, length_flits, kind)
         try:
-            launch_from(schedule.source)
-            if expected:
-                yield done
+            run.launch_from(schedule.source)
+            if run.expected:
+                yield run.done
             # Let the last worms drain their channels before reporting,
             # so back-to-back broadcasts see a consistent network.
-            alive = [p for p in transmissions if p.is_alive]
+            alive = [p for p in run.transmissions if p.is_alive]
             if alive:
                 yield env.all_of(alive)
         finally:
-            for uid in our_uids:
+            for uid in run.uids:
                 self.network.remove_uid_hook(uid)
 
         return BroadcastOutcome(
             algorithm=schedule.algorithm,
             source=schedule.source,
             start_time=start_time,
-            arrivals=arrivals,
+            arrivals=run.arrivals,
             total_sends=schedule.total_sends(),
         )
+
+
+class _BroadcastRun:
+    """The state of one event-driven broadcast in flight.
+
+    Its bound :meth:`on_delivery` is the uid hook of every worm the
+    broadcast launches.  A pair of closures that call each other would
+    do the same, but they form a reference cycle that only the cyclic
+    collector can free; this object holds no reference back to itself.
+    """
+
+    __slots__ = (
+        "executor", "pending", "expected", "arrivals", "uids", "done",
+        "transmissions", "length_flits", "kind",
+    )
+
+    def __init__(
+        self,
+        executor: EventDrivenExecutor,
+        schedule: BroadcastSchedule,
+        length_flits: int,
+        kind: MessageKind,
+    ):
+        self.executor = executor
+        self.pending = schedule.sends_by_node()
+        self.expected = len(schedule.covered_nodes()) - 1
+        self.arrivals: Dict[Coordinate, float] = {}
+        self.uids: set = set()
+        self.done = executor.network.env.event()
+        self.transmissions: list = []
+        self.length_flits = length_flits
+        self.kind = kind
+
+    def launch_from(self, node: Coordinate) -> None:
+        executor = self.executor
+        network = executor.network
+        hook = self.on_delivery
+        for step, send in self.pending.pop(node, ()):
+            transmission = executor._make_transmission(
+                send, step, self.length_flits, self.kind
+            )
+            uid = transmission.message.uid
+            self.uids.add(uid)
+            # uid-keyed dispatch: this broadcast's deliveries reach
+            # only this hook, however many run concurrently.
+            network.add_uid_hook(uid, hook)
+            self.transmissions.append(transmission.start())
+
+    def on_delivery(self, record: DeliveryRecord) -> None:
+        arrivals = self.arrivals
+        if record.node in arrivals:  # pragma: no cover - exactly-once guard
+            return
+        arrivals[record.node] = record.time
+        self.launch_from(record.node)
+        if len(arrivals) == self.expected and not self.done.triggered:
+            self.done.succeed()

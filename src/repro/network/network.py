@@ -286,6 +286,22 @@ class NetworkSimulator:
         """Advance the simulation (delegates to the kernel)."""
         return self.env.run(until=until)
 
+    def close(self) -> None:
+        """Abandon the simulation once its results have been read.
+
+        Closes every suspended process (:meth:`Environment.close
+        <repro.sim.engine.Environment.close>`) and empties every port
+        and built channel.  A worm stopped mid-flight leaves granted
+        and queued requests there, and each one forms a reference
+        cycle with its resource.
+        """
+        self.env.close()
+        resources = [node.ports for node in self.nodes.values()]
+        resources += [channel.resource for channel in dict.values(self.channels)]
+        for resource in resources:
+            resource.users.clear()
+            resource.queue.clear()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<NetworkSimulator {self.topology!r} t={self.env.now}"

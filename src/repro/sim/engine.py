@@ -17,7 +17,9 @@ The run loop is allocation-free for the model's hot operations:
   once the loop proves (by reference count) that nothing else can
   observe them;
 * the :meth:`run` loop pops and dispatches heap entries inline — no
-  per-event ``peek()``/``step()`` calls, no property lookups.
+  per-event ``peek()``/``step()`` calls, no property lookups — with the
+  cyclic garbage collector paused: the simulator builds no reference
+  cycles, so reference counting alone frees what a run discards.
 
 All fast paths preserve the exact ``(time, priority, insertion order)``
 event semantics of the straightforward kernel; pass ``fastpath=False``
@@ -27,6 +29,7 @@ tests).  See ``docs/performance.md`` for the invariants.
 
 from __future__ import annotations
 
+import gc
 from heapq import heappop, heappush
 from itertools import count
 from sys import getrefcount
@@ -85,6 +88,9 @@ class Environment:
         self._active_process: Optional[Process] = None
         self._fastpath = bool(fastpath)
         self._timeout_pool: list = []
+        # Processes not yet finished, in creation order (a dict as an
+        # ordered set): what close() abandons.
+        self._live: Dict[Process, None] = {}
         # Always-on kernel counters (observers only — nothing in the
         # kernel reads them back, so they cannot perturb event order).
         self._profile = SimProfile()
@@ -238,6 +244,18 @@ class Environment:
                 run until the clock reaches that time;
             an :class:`Event`
                 run until that event is processed, returning its value.
+
+        Notes
+        -----
+        The cyclic garbage collector is paused for the length of the
+        loop (if it was enabled) and re-enabled on the way out, also
+        when the model raises.  Otherwise it would re-scan the whole
+        live simulation every few hundred allocations.  The pause is
+        safe because the kernel, the network and the executors build
+        no reference cycles, so reference counting frees every
+        finished worm at once.  A model that does build cycles keeps
+        that garbage until ``run`` returns.  :meth:`step` never touches
+        the collector.
         """
         stop_event: Optional[Event] = None
         stop_time = float("inf")
@@ -265,6 +283,9 @@ class Environment:
         # contract this buys.
         holds = timeouts = others = 0
         peak = prof.heap_peak
+        collecting = gc.isenabled()
+        if collecting:
+            gc.disable()
         try:
             while heap:
                 if stop_event is not None and stop_event.callbacks is None:
@@ -310,6 +331,8 @@ class Environment:
                 if bounded:
                     self._now = stop_time
         finally:
+            if collecting:
+                gc.enable()
             prof.holds += holds
             prof.timeouts += timeouts
             prof.events += others
@@ -325,6 +348,26 @@ class Environment:
                 raise stop_event.value  # type: ignore[misc]
             return stop_event.value
         return None
+
+    def close(self) -> None:
+        """Abandon the rest of the simulation.
+
+        Every process that has not finished has its generator closed
+        (in creation order), so it sees ``GeneratorExit`` at its
+        current ``yield`` and runs its cleanup.  Then every pending
+        heap entry and every pooled timeout is dropped.  Processes
+        left suspended would otherwise stay in reference cycles
+        through the heap and the events they wait on.  Call it once
+        the model's results have been read; the clock keeps its value.
+        """
+        if self._active_process is not None:
+            raise SimulationError("close() called from inside a process")
+        live = self._live
+        while live:  # a cleanup handler may start another process
+            for process in list(live):
+                process._abandon()  # unregisters it
+        self._heap.clear()
+        self._timeout_pool.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Environment t={self._now} pending={len(self._heap)}>"

@@ -215,6 +215,11 @@ class ConditionEvent(Event):
     The result mapping is pre-built in declaration order at
     construction time and filled in as sub-events trigger, so firing
     never re-walks ``self.events``.
+
+    Once the condition triggers, its ``_check`` is taken off every
+    sub-event still pending (``_check`` would return at once anyway),
+    so a pending sub-event — say a long ``Timeout`` raced by an
+    ``AnyOf`` — and the condition do not keep each other alive.
     """
 
     __slots__ = ("events", "_count", "_total", "_values")
@@ -230,10 +235,20 @@ class ConditionEvent(Event):
             self.succeed({})
             return
         for event in self.events:
+            if self._triggered:
+                break  # an already-processed sub-event decided it
             event.add_callback(self._check)
 
     def _prepare(self) -> None:
         """Subclass hook run before any ``_check`` callback can fire."""
+
+    def _detach(self) -> None:
+        """Remove ``_check`` from the sub-events still pending."""
+        check = self._check
+        for event in self.events:
+            callbacks = event.callbacks
+            if callbacks:
+                callbacks[:] = [cb for cb in callbacks if cb != check]
 
     def _check(self, event: Event) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -257,6 +272,7 @@ class AllOf(ConditionEvent):
         if not event._ok:
             event.defuse()
             self.fail(event._value)
+            self._detach()
             return
         self._values[event] = event._value
         self._count += 1
@@ -275,5 +291,6 @@ class AnyOf(ConditionEvent):
         if not event._ok:
             event.defuse()
             self.fail(event._value)
-            return
-        self.succeed({event: event._value})
+        else:
+            self.succeed({event: event._value})
+        self._detach()

@@ -49,6 +49,13 @@ class _HoldEntry:
     ticket can never match, even if its deadline coincides) is
     silently skipped — exactly like the detached ``Timeout`` it
     replaces.
+
+    The marker's ``process`` back-link and the process's ``_hold``
+    form a reference cycle, so the link is cut (``process = None``)
+    the moment the process finishes: a finished process, with its
+    generator and result, is then freed by reference counting alone.
+    Only an active marker is ever dereferenced, and a finished
+    process's marker is never active.
     """
 
     __slots__ = ("process", "eid", "active")
@@ -70,6 +77,17 @@ class Process(Event):
         The generator to execute.  Each yielded value must be an
         :class:`Event` of the same environment (or the marker returned
         by ``env.hold()``).
+
+    Notes
+    -----
+    A process is registered in its environment's live table from
+    creation until it finishes; at that moment it also cuts its hold
+    marker's back-link.  A finished process therefore sits in no
+    reference cycle and is freed by reference counting, which is what
+    lets :meth:`Environment.run <repro.sim.engine.Environment.run>`
+    pause the cyclic garbage collector.  A process still suspended
+    when the model stops is closed by :meth:`Environment.close
+    <repro.sim.engine.Environment.close>`.
     """
 
     __slots__ = ("_generator", "_target", "_hold")
@@ -96,6 +114,7 @@ class Process(Event):
         hold.eid = eid = next(env._eid)
         hold.active = True
         heappush(env._heap, (env._now, 0, eid, hold))
+        env._live[self] = None
 
     @property
     def name(self) -> str:
@@ -173,12 +192,16 @@ class Process(Event):
                     result = send(value)
             except StopIteration as stop:
                 env._active_process = None
-                self._hold.active = False  # neutralise an unyielded hold
+                # Inlined _release(): the common finish, once per worm.
+                hold = self._hold
+                hold.active = False  # neutralise an unyielded hold
+                hold.process = None
+                del env._live[self]
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
                 env._active_process = None
-                self._hold.active = False
+                self._release()
                 self.fail(exc)
                 return
             env._active_process = None
@@ -191,10 +214,12 @@ class Process(Event):
                 return
             if not isinstance(result, Event):
                 generator.close()
+                self._release()
                 self.fail(TypeError(f"process yielded a non-event: {result!r}"))
                 return
             if self._hold.active:
                 generator.close()
+                self._release()
                 self.fail(
                     RuntimeError(
                         "hold() was called but its marker was not yielded"
@@ -203,6 +228,7 @@ class Process(Event):
                 return
             if result.env is not env:
                 generator.close()
+                self._release()
                 self.fail(
                     ValueError("yielded event belongs to a different environment")
                 )
@@ -239,6 +265,37 @@ class Process(Event):
             self._target = result
             return
 
+    def _release(self) -> None:
+        """Unregister a finishing process and cut its marker's back-link.
+
+        Also neutralises an armed but unyielded hold, so its pending
+        heap entry pops as a no-op.
+        """
+        hold = self._hold
+        hold.active = False
+        hold.process = None
+        del self.env._live[self]
+
+    def _abandon(self) -> None:
+        """Close the generator of a process that will never resume.
+
+        Kernel internal (see :meth:`Environment.close`): the generator
+        sees ``GeneratorExit`` at its current ``yield`` and runs its
+        cleanup; the process detaches from the event it waited on and
+        drops its own waiters.  It never triggers — whoever waited on
+        it is being abandoned too.
+        """
+        self._release()
+        target = self._target
+        if target is not None:
+            self._target = None
+            callbacks = target.callbacks
+            if callbacks is not None and self._resume in callbacks:
+                callbacks.remove(self._resume)
+        self.callbacks = []
+        self._generator.close()
+
     def _no_hold_pending(self) -> None:  # pragma: no cover - defensive
         self._generator.close()
+        self._release()
         self.fail(RuntimeError("yielded a hold marker without calling hold()"))

@@ -312,7 +312,7 @@ class MixedTrafficSimulation:
                 self.latencies.summary("all").mean if completed else float("nan")
             )
         throughput_count, throughput_span = self.throughput.window(env.now)
-        return TrafficStats(
+        stats = TrafficStats(
             load_messages_per_ms=self.config.load_messages_per_ms,
             mean_latency_us=mean_latency,
             unicast_mean_latency_us=bucket_mean("unicast"),
@@ -335,3 +335,8 @@ class MixedTrafficSimulation:
             throughput_count=throughput_count,
             throughput_span_us=throughput_span,
         )
+        # The node generators (and, after a capped run, worms still in
+        # flight) are suspended in reference cycles through the heap
+        # and the channel queues; close them.
+        self.network.close()
+        return stats

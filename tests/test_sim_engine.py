@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel (`repro.sim.engine`)."""
 
+import gc
+
 import pytest
 
 from repro.sim import Environment, SimulationError
@@ -154,3 +156,114 @@ def test_exception_in_awaited_process_propagates_to_waiter():
     env.process(waiter(env, target))
     env.run()
     assert caught == ["inner"]
+
+
+# ------------------------------------------------ cyclic collector pause
+@pytest.fixture
+def collector_on():
+    """Start with the collector enabled; leave it as the test found it."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if not was_enabled:
+        gc.disable()
+
+
+def _recording_process(env, seen):
+    seen.append(gc.isenabled())
+    yield env.timeout(1.0)
+    seen.append(gc.isenabled())
+
+
+@pytest.mark.parametrize("until", [None, 5.0, "event"])
+def test_run_pauses_collector_and_restores_it(collector_on, until):
+    env = Environment()
+    seen = []
+    process = env.process(_recording_process(env, seen))
+    env.timeout(2.0)
+    env.run(until=process if until == "event" else until)
+    assert seen == [False, False]
+    assert gc.isenabled()
+
+
+def test_run_restores_collector_when_model_raises(collector_on):
+    env = Environment()
+    seen = []
+
+    def bad(env):
+        seen.append(gc.isenabled())
+        yield env.timeout(1.0)
+        raise RuntimeError("boom")
+
+    env.process(bad(env))
+    with pytest.raises(RuntimeError, match="boom"):
+        env.run()
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_run_leaves_a_disabled_collector_disabled(collector_on):
+    env = Environment()
+    seen = []
+    env.process(_recording_process(env, seen))
+    gc.disable()
+    env.run()
+    assert seen == [False, False]
+    assert not gc.isenabled()
+
+
+def test_step_never_touches_collector(collector_on):
+    env = Environment()
+    seen = []
+    env.process(_recording_process(env, seen))
+    while env.peek() != float("inf"):
+        env.step()
+    assert seen == [True, True]
+    gc.disable()
+    env = Environment()
+    seen.clear()
+    env.process(_recording_process(env, seen))
+    while env.peek() != float("inf"):
+        env.step()
+    assert seen == [False, False]
+
+
+# ------------------------------------------------------------- close()
+def test_close_abandons_suspended_processes_in_creation_order():
+    env = Environment()
+    cleaned = []
+    gate = env.event()
+
+    def sleeper(env, name, wait):
+        try:
+            yield wait(env)
+        finally:
+            cleaned.append(name)
+
+    def finisher(env):
+        yield env.hold(1.0)
+
+    done = env.process(finisher(env))
+    held = env.process(sleeper(env, "hold", lambda env: env.hold(50.0)))
+    waiting = env.process(sleeper(env, "event", lambda env: gate))
+    env.timeout(100.0)
+    env.run(until=10.0)
+    assert done.processed and held.is_alive and waiting.is_alive
+    env.close()
+    assert cleaned == ["hold", "event"]
+    assert gate.callbacks == []  # the waiter detached
+    assert env.peek() == float("inf")
+    assert env.now == 10.0
+    assert not held.triggered  # abandoned, never resumed or triggered
+
+
+def test_close_from_inside_a_process_is_rejected():
+    env = Environment()
+
+    def proc(env):
+        env.close()
+        yield env.hold(1.0)
+
+    env.process(proc(env))
+    with pytest.raises(SimulationError, match="inside a process"):
+        env.run()

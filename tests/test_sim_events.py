@@ -226,3 +226,39 @@ def test_join_already_finished_process():
     j = env.process(late_joiner(env, p))
     env.run()
     assert j.value == "done"
+
+
+def test_triggered_condition_lets_go_of_pending_children():
+    env = Environment()
+    a, b = env.event(), env.event()
+    cond = env.any_of([a, b])
+    a.succeed("a")
+    env.run()
+    assert cond.processed and cond.value == {a: "a"}
+    assert b.callbacks == []  # no _check left to keep `cond` alive
+    # A later undefused failure of `b` still surfaces from run().
+    b.fail(ValueError("late"))
+    with pytest.raises(ValueError, match="late"):
+        env.run()
+
+
+def test_failed_all_of_lets_go_of_pending_children():
+    env = Environment()
+    a, b = env.event(), env.event()
+    cond = env.all_of([a, b, b])
+    a.fail(KeyError("a"))
+    cond.defuse()
+    env.run()
+    assert cond.processed and not cond.ok
+    assert b.callbacks == []
+
+
+def test_condition_decided_at_construction_registers_no_check():
+    env = Environment()
+    a = env.event()
+    a.succeed()
+    env.run()
+    b = env.event()
+    cond = env.any_of([a, b])
+    assert cond.triggered
+    assert b.callbacks == []
