@@ -88,8 +88,7 @@ def cells(
         is_shard,
     )
 
-    grouped: Dict[str, List[UnitRecord]] = {}
-    specs: Dict[str, UnitSpec] = {}
+    grouped: Dict[str, List[Tuple[UnitSpec, UnitRecord]]] = {}
     for record in records:
         if record.failed:
             # A failure record carries exception metadata, not
@@ -99,21 +98,19 @@ def cells(
         spec = record.unit_spec
         if is_shard(spec):
             continue
-        members = (
-            explode_cell_record(record)
-            if spec.kind == BROADCAST_CELL_KIND
-            else [record]
-        )
+        if spec.kind == BROADCAST_CELL_KIND:
+            members = [(m.unit_spec, m) for m in explode_cell_record(record)]
+        else:
+            members = [(spec, record)]
         for member in members:
-            member_spec = member.unit_spec
-            key = member_spec.cell_key
-            grouped.setdefault(key, []).append(member)
-            specs.setdefault(key, member_spec)
-    out = []
-    for key, members in grouped.items():
-        members.sort(key=lambda r: r.unit_spec.replication)
-        out.append((specs[key], members))
-    return out
+            grouped.setdefault(member[0].cell_key, []).append(member)
+    return [
+        (
+            members[0][0],
+            [r for _, r in sorted(members, key=lambda m: m[0].replication)],
+        )
+        for members in grouped.values()
+    ]
 
 
 def failed_records(records: Sequence[UnitRecord]) -> List[UnitRecord]:

@@ -235,8 +235,7 @@ def fit_cost_model(records: Iterable[UnitRecord]) -> CostModel:
         if record.unit_hash in seen or record.elapsed_s <= 0:
             continue
         seen.add(record.unit_hash)
-        spec = UnitSpec.from_dict(record.spec)
-        rows.append(cost_features(spec))
+        rows.append(cost_features(record.unit_spec))
         targets.append(math.log(record.elapsed_s))
     if len(rows) < MIN_SAMPLES:
         raise ValueError(

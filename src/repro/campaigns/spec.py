@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 __all__ = ["UnitSpec", "CampaignSpec", "freeze_params"]
@@ -148,13 +149,17 @@ class UnitSpec:
             params=freeze_params(**data.get("params", {})),
         )
 
-    @property
+    # Content keys are computed once per object: a spec is a value, so
+    # ``cached_property`` (which writes the instance ``__dict__``
+    # directly, frozen or not) never goes stale.  Field-based eq/hash/
+    # repr ignore the cache; ``replace`` builds a fresh, uncached spec.
+    @cached_property
     def unit_hash(self) -> str:
         """Stable 16-hex-digit content hash of the unit."""
         digest = hashlib.sha256(_canonical_json(self.as_dict()).encode())
         return digest.hexdigest()[:16]
 
-    @property
+    @cached_property
     def cell_key(self) -> str:
         """Hash-independent grid-cell identity (the spec minus its
         replication index); replications of one cell aggregate together."""

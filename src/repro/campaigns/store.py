@@ -48,6 +48,7 @@ import time
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Set
 
@@ -113,6 +114,10 @@ class UnitRecord:
             result={"network_latency": 12.5},
         )
         store.append(record)
+
+    A record is a value: ``spec`` must not be mutated after
+    construction, because :attr:`unit_spec` decodes it once and keeps
+    the result.
     """
 
     unit_hash: str
@@ -125,9 +130,9 @@ class UnitRecord:
     #: ``"ok"`` or ``"failed"`` (:data:`STATUS_OK` / :data:`STATUS_FAILED`).
     status: str = STATUS_OK
 
-    @property
+    @cached_property
     def unit_spec(self) -> UnitSpec:
-        """The record's spec, reconstructed as a :class:`UnitSpec`."""
+        """The record's spec, reconstructed once as a :class:`UnitSpec`."""
         return UnitSpec.from_dict(self.spec)
 
     @property

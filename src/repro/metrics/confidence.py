@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.metrics.stats import rescale_exponent
+
 __all__ = [
     "ConfidenceInterval",
     "interval_from_partial",
@@ -166,8 +168,10 @@ def t_confidence_interval(
     arr = np.asarray(values, dtype=float)
     if arr.size < 2:
         raise ValueError("need at least two observations for a confidence interval")
-    mean = float(arr.mean())
-    sem = float(arr.std(ddof=1)) / math.sqrt(arr.size)
+    k = rescale_exponent(arr)
+    scaled = np.ldexp(arr, -k)
+    mean = math.ldexp(float(scaled.mean()), k)
+    sem = math.ldexp(float(scaled.std(ddof=1)), k) / math.sqrt(arr.size)
     t = t_quantile(0.5 + level / 2.0, arr.size - 1)
     return ConfidenceInterval(
         mean=mean, half_width=t * sem, level=level, count=int(arr.size)

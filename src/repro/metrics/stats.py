@@ -48,15 +48,35 @@ class SummaryStats:
         )
 
 
+def rescale_exponent(arr: np.ndarray) -> int:
+    """An even ``k`` that brings ``arr``'s largest magnitude near 1.
+
+    Mean and standard deviation computed on ``ldexp(arr, -k)`` and
+    scaled back by ``2**k`` are bit-identical to the direct ones
+    whenever neither path under- or overflows, because scaling by a
+    power of two is exact there.  They stay exact where the direct
+    path squares deviations into subnormals (values near 1e-160) or
+    past the float range (near 1e160), which is what keeps
+    CV(a·X) == CV(X).
+    """
+    largest = float(np.max(np.abs(arr)))
+    if largest == 0.0 or not math.isfinite(largest):
+        return 0
+    exponent = math.frexp(largest)[1]
+    return exponent - exponent % 2
+
+
 def summarize(values: Sequence[float]) -> SummaryStats:
     """Compute :class:`SummaryStats` for a non-empty sample."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot summarise an empty sample")
+    k = rescale_exponent(arr)
+    scaled = np.ldexp(arr, -k)
     return SummaryStats(
         count=int(arr.size),
-        mean=float(arr.mean()),
-        std=float(arr.std()),
+        mean=math.ldexp(float(scaled.mean()), k),
+        std=math.ldexp(float(scaled.std()), k),
         minimum=float(arr.min()),
         maximum=float(arr.max()),
     )

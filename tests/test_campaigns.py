@@ -100,6 +100,217 @@ def test_duplicate_grid_points_are_collapsed():
     assert [u.load for u in spec.units] == [2.0, 4.0]
 
 
+# ------------------------------------------------------ content addresses
+# Literal hashes computed before unit keys were memoised.  A change to
+# any of them re-keys every stored record, so each existing store
+# would silently stop serving cache hits; change them only on purpose.
+PINNED_SPECS = [
+    (
+        UnitSpec(
+            experiment="fig1", kind="broadcast", algorithm="DB",
+            dims=(4, 4, 4), length_flits=32, seed=0,
+            params=(("startup_latency", 1.5),),
+        ),
+        "45b982f0e4e71718",
+    ),
+    (
+        UnitSpec(
+            experiment="fig1", kind="broadcast-cell", algorithm="DB",
+            dims=(4, 4, 4), length_flits=32, seed=0,
+            params=(("sources_count", 2), ("startup_latency", 1.5)),
+        ),
+        "59aaa7ed0de4efd5",
+    ),
+    (
+        UnitSpec(
+            experiment="fig1", kind="broadcast-shard", algorithm="DB",
+            dims=(4, 4, 4), length_flits=32, seed=0,
+            params=(
+                ("shard", 1), ("source_count", 1), ("source_offset", 1),
+                ("startup_latency", 1.5),
+            ),
+        ),
+        "6ac5046e80de6f81",
+    ),
+    (
+        UnitSpec(
+            experiment="fig3", kind="traffic", algorithm="EDN",
+            dims=(4, 4, 4), length_flits=32, seed=0, load=0.5,
+            params=(
+                ("batch_size", 8), ("broadcast_fraction", 0.1),
+                ("discard", 1), ("max_sim_time_us", 20000.0),
+                ("num_batches", 3),
+            ),
+        ),
+        "842fb29e6f68efbf",
+    ),
+    (
+        UnitSpec(
+            experiment="fig3", kind="traffic-shard", algorithm="EDN",
+            dims=(4, 4, 4), length_flits=32, seed=0, load=0.5,
+            params=(
+                ("batch_size", 8), ("broadcast_fraction", 0.1),
+                ("discard", 1), ("max_sim_time_us", 20000.0),
+                ("num_batches", 2), ("shard", 1),
+            ),
+        ),
+        "211d3ad6b98484c8",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, expected", PINNED_SPECS, ids=[s.kind for s, _ in PINNED_SPECS]
+)
+def test_unit_hash_is_pinned(spec, expected):
+    assert spec.unit_hash == expected
+    decoded = UnitSpec.from_dict(json.loads(json.dumps(spec.as_dict())))
+    assert decoded.unit_hash == expected
+
+
+def test_grid_builders_declare_the_pinned_specs():
+    from repro.campaigns.shards import shard_specs
+    from repro.experiments.common import traffic_units
+
+    broadcast = broadcast_units("fig1", [(4, 4, 4)], ["DB"], 32, "smoke", 0)[0]
+    (cell,) = broadcast_units(
+        "fig1", [(4, 4, 4)], ["DB"], 32, "smoke", 0, shards=2
+    )
+    (traffic,) = traffic_units("fig3", (4, 4, 4), ["EDN"], [0.5], 32, "smoke", 0)
+    (sharded,) = traffic_units(
+        "fig3", (4, 4, 4), ["EDN"], [0.5], 32, "smoke", 0, shards=2
+    )
+    built = [
+        broadcast, cell, shard_specs(cell, 2)[1], traffic, shard_specs(sharded)[1]
+    ]
+    assert built == [spec for spec, _ in PINNED_SPECS]
+
+
+def test_cell_key_and_campaign_hash_are_pinned():
+    assert PINNED_SPECS[0][0].cell_key == (
+        '{"algorithm":"DB","dims":[4,4,4],"experiment":"fig1",'
+        '"kind":"broadcast","length_flits":32,'
+        '"params":{"startup_latency":1.5},"seed":0}'
+    )
+    campaign = CampaignSpec(
+        name="pin-s0", seed=0, units=tuple(spec for spec, _ in PINNED_SPECS)
+    )
+    assert campaign.campaign_hash == "c51d2cde091b33a4"
+
+
+# -------------------------------------------------- memoised content keys
+def _count_encodes(monkeypatch):
+    from repro.campaigns import spec as spec_module
+
+    calls = []
+    encode = spec_module._canonical_json
+
+    def counting(data):
+        calls.append(1)
+        return encode(data)
+
+    monkeypatch.setattr(spec_module, "_canonical_json", counting)
+    return calls
+
+
+@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+def test_cached_rerun_encodes_each_unit_key_once(tmp_path, monkeypatch, backend):
+    """A warm all-cached re-run encodes each declared spec's hash once.
+
+    ``JsonlStore`` hands out the same record objects on every read, so
+    their cell keys are already memoised; ``SqliteStore`` decodes new
+    record objects per read, which adds one cell-key encode per unit.
+    """
+    from repro.campaigns.store import open_store
+    from repro.experiments.fig1 import fig1_campaign
+
+    units = len(fig1_campaign("smoke", 0))
+    store = open_store(tmp_path / f"fig1.{backend}", backend=backend)
+    fresh = run_fig1(scale="smoke", seed=0, store=store)
+    assert run_fig1(scale="smoke", seed=0, store=store) == fresh
+    calls = _count_encodes(monkeypatch)
+    assert run_fig1(scale="smoke", seed=0, store=store) == fresh
+    if backend == "jsonl":
+        assert len(calls) == units
+    else:
+        assert len(calls) <= 2 * units
+
+
+def test_content_keys_are_computed_once_per_object(monkeypatch):
+    spec = unit()
+    record = UnitRecord(
+        unit_hash=spec.unit_hash, experiment="fig1",
+        spec=spec.as_dict(), result={},
+    )
+    record.unit_spec.cell_key
+    calls = _count_encodes(monkeypatch)
+    for _ in range(3):
+        assert spec.unit_hash and spec.cell_key
+        assert record.unit_spec is record.unit_spec
+        assert record.unit_spec.cell_key == spec.cell_key
+    assert calls == [1]  # spec.cell_key; the record's was computed above
+
+
+def test_replaced_and_reseeded_specs_hash_like_fresh_ones():
+    from dataclasses import replace
+
+    spec = unit()
+    spec.unit_hash, spec.cell_key  # populate the memo before copying
+    assert replace(spec, seed=7).unit_hash == unit(seed=7).unit_hash
+    assert replace(spec, seed=7).cell_key == unit(seed=7).cell_key
+    campaign = CampaignSpec(name="c-s0", seed=0, units=(spec,))
+    campaign.campaign_hash
+    reseeded = campaign.with_seed(7)
+    fresh = CampaignSpec(name="c-s7", seed=7, units=(unit(seed=7),))
+    assert reseeded.unit_hashes() == fresh.unit_hashes()
+    assert reseeded.campaign_hash == fresh.campaign_hash
+
+
+@pytest.mark.parametrize("clone", ["pickle", "copy"])
+def test_copied_specs_and_records_keep_equality_and_hash(clone):
+    import copy
+    import pickle
+
+    dup = (
+        (lambda obj: pickle.loads(pickle.dumps(obj)))
+        if clone == "pickle"
+        else copy.copy
+    )
+    spec = unit()
+    record = UnitRecord(
+        unit_hash=spec.unit_hash, experiment="fig1",
+        spec=spec.as_dict(), result={"x": 1.0},
+    )
+    for warm in (False, True):
+        if warm:
+            spec.cell_key, record.unit_spec.unit_hash
+        spec2, record2 = dup(spec), dup(record)
+        assert spec2 == spec and hash(spec2) == hash(spec)
+        assert spec2.unit_hash == spec.unit_hash == unit().unit_hash
+        assert spec2.cell_key == unit().cell_key
+        assert record2 == record
+        assert record2.unit_spec == spec
+        assert record2.unit_spec.unit_hash == spec.unit_hash
+
+
+def test_record_equality_ignores_elapsed_and_the_memo():
+    spec = unit()
+    a = UnitRecord(
+        unit_hash=spec.unit_hash, experiment="fig1",
+        spec=spec.as_dict(), result={"x": 1.0}, elapsed_s=0.5,
+    )
+    b = UnitRecord(
+        unit_hash=spec.unit_hash, experiment="fig1",
+        spec=spec.as_dict(), result={"x": 1.0}, elapsed_s=9.0,
+    )
+    a.unit_spec  # memoised on one side only
+    assert a == b
+    assert a != UnitRecord(
+        unit_hash=spec.unit_hash, experiment="fig1",
+        spec=spec.as_dict(), result={"x": 2.0}, elapsed_s=0.5,
+    )
+
+
 # ---------------------------------------------------------------- store
 def test_store_append_and_resume(tmp_path):
     store = ResultStore(tmp_path / "c.jsonl")

@@ -49,6 +49,36 @@ def test_cv_scale_invariant(values, scale):
         assert scaled == pytest.approx(base, rel=1e-6)
 
 
+# A sample Hypothesis once found for test_cv_scale_invariant: squaring
+# its deviations (~1.6e-160) underflows into subnormals unless the
+# sample is rescaled first, and CV(0.5·X) then read 0.99986·CV(X).
+TINY_SAMPLE = [0.0, 3.121182760803852e-160]
+
+
+def test_cv_exact_for_a_sample_whose_squares_underflow():
+    assert summarize(TINY_SAMPLE).cv == 1.0
+    assert summarize([v * 0.5 for v in TINY_SAMPLE]).cv == 1.0
+
+
+def test_confidence_interval_scales_exactly_for_a_tiny_sample():
+    base = t_confidence_interval(TINY_SAMPLE)
+    half = t_confidence_interval([v * 0.5 for v in TINY_SAMPLE])
+    assert half.mean == base.mean * 0.5
+    assert half.half_width == base.half_width * 0.5
+
+
+def test_rescaling_leaves_ordinary_samples_bit_identical():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        arr = rng.normal(size=int(rng.integers(2, 50))) * 10 ** rng.uniform(-5, 5)
+        s = summarize(arr)
+        assert (s.mean, s.std) == (float(arr.mean()), float(arr.std()))
+        ci = t_confidence_interval(arr)
+        sem = float(arr.std(ddof=1)) / math.sqrt(arr.size)
+        assert ci.mean == float(arr.mean())
+        assert ci.half_width == t_quantile(0.975, arr.size - 1) * sem
+
+
 # ---------------------------------------------------- improvement percent
 def test_improvement_percent_matches_paper_table1():
     """Back out the paper's own Table 1 arithmetic."""
