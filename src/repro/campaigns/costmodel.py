@@ -110,28 +110,23 @@ def cost_features(spec: UnitSpec) -> List[float]:
     runs therefore LPT-order individual shards, not just whole points
     — and ``--shards auto`` inverts the same model to pick the fan-out.
 
-    The ``engine_batched`` indicator is 1 for non-AB broadcast work
-    while *this process's* engine
+    The ``engine_batched`` indicator is 1 for broadcast work while
+    *this process's* engine
     (:func:`repro.campaigns.units.broadcast_engine`) is not
-    ``"event"``: the work the batched sweep would serve here (AB
-    always falls back per source).  Records do not store the engine
-    that measured them, so :func:`fit_cost_model` evaluates the
-    indicator under the fitting process's engine.  Within one fit it
-    is therefore a fixed function of kind and algorithm that separates
-    batch-eligible broadcast work from AB and traffic work; it
-    captures a batched speed-up only when the records were measured on
-    the engine the fitting process runs.
+    ``"event"``: the work the batched sweep would serve here.  Records
+    do not store the engine that measured them, so
+    :func:`fit_cost_model` evaluates the indicator under the fitting
+    process's engine.  Within one fit it is therefore a fixed function
+    of kind that separates batch-eligible broadcast work from traffic
+    work; it captures a batched speed-up only when the records were
+    measured on the engine the fitting process runs.
     """
     from repro.campaigns.units import broadcast_engine
 
     nodes = float(math.prod(spec.dims))
     load = max(float(spec.load), 1.0) if spec.load is not None else 1.0
     budget = unit_budget(spec)
-    batched = (
-        broadcast_engine() != "event"
-        and spec.kind in _BROADCAST_KINDS
-        and spec.algorithm != "AB"
-    )
+    batched = broadcast_engine() != "event" and spec.kind in _BROADCAST_KINDS
     return [
         1.0,
         math.log(nodes),

@@ -64,7 +64,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.campaigns.spec import CampaignSpec, UnitSpec
 from repro.campaigns.store import (
@@ -698,21 +698,34 @@ def _run_campaign(
         except Exception:
             pass
 
-    def finish(record: UnitRecord) -> None:
-        records[record.unit_hash] = record
-        if store is not None:
-            try:
-                store.append(record)
-                if claiming:
-                    store.release(record.unit_hash, owner)
-            except BaseException:
-                # Append failed (store unreachable mid-campaign):
-                # don't strand the lease behind the dead store — the
-                # release is best-effort and the original error
-                # surfaces as the CLI's one-line store error.
-                release_quietly(record.unit_hash)
-                raise
-        _after_land(record.unit_hash)
+    def land(record: UnitRecord, persist: bool) -> None:
+        """Adopt a record, and then any sharded parent it completes.
+
+        ``persist`` appends the record to the store and releases its
+        lease; otherwise a peer pool or cache already persisted it.  A
+        merge the record completes lands the same way.  The loop keeps
+        this the one function that lands records: closures that call
+        each other would form a reference cycle holding every record.
+        """
+        while record is not None:
+            records[record.unit_hash] = record
+            if not persist:
+                tracer.event(
+                    "unit.absorbed", cat="campaign", unit=record.unit_hash
+                )
+            elif store is not None:
+                try:
+                    store.append(record)
+                    if claiming:
+                        store.release(record.unit_hash, owner)
+                except BaseException:
+                    # Append failed (store unreachable mid-campaign):
+                    # don't strand the lease behind the dead store —
+                    # the release is best-effort and the original
+                    # error surfaces as the CLI's one-line store error.
+                    release_quietly(record.unit_hash)
+                    raise
+            record, persist = merged_parent(record.unit_hash)
 
     def quarantine(unit: UnitSpec, record: UnitRecord) -> None:
         """Mark a unit permanently failed (budget exhausted)."""
@@ -785,12 +798,6 @@ def _run_campaign(
             )
         cooldown.append((time.monotonic() + backoff, unit))
 
-    def absorb(record: UnitRecord) -> None:
-        """Adopt a record a peer pool or cache already persisted."""
-        records[record.unit_hash] = record
-        tracer.event("unit.absorbed", cat="campaign", unit=record.unit_hash)
-        _after_land(record.unit_hash)
-
     def adopt(
         unit: UnitSpec, existing: UnitRecord, holding_lease: bool
     ) -> bool:
@@ -812,21 +819,25 @@ def _run_campaign(
         if holding_lease:
             store.release(unit.unit_hash, owner)
         if existing.ok:
-            absorb(existing)
+            land(existing, persist=False)
         else:
             quarantine(unit, existing)
         return True
 
-    def _after_land(unit_hash: str) -> None:
-        """Merge a sharded parent once its last shard has landed."""
+    def merged_parent(unit_hash: str) -> Tuple[Optional[UnitRecord], bool]:
+        """The sharded parent record a landed unit completes, if any.
+
+        Returns ``(record, persist)`` for :func:`land`: a fresh merge to
+        persist, a peer's stored merge to absorb, or ``(None, False)``.
+        """
         parent_hash = shard_parent.get(unit_hash)
         if parent_hash is None or parent_hash in records:
-            return
+            return None, False
         members = []
         for shard in shard_plan[parent_hash]:
             member = records.get(shard.unit_hash)
             if member is None:
-                return  # siblings still in flight
+                return None, False  # siblings still in flight
             members.append(member)
         if store is not None:
             # A peer pool may have observed the last shard first and
@@ -838,20 +849,19 @@ def _run_campaign(
             # record instead.
             existing = store.get(parent_hash)
             if existing is not None:
-                absorb(existing)
-                return
+                return existing, False
         with tracer.span(
             "unit.merge", cat="unit", unit=parent_hash, shards=len(members)
         ):
             merged = merge_shard_records(parent_by_hash[parent_hash], members)
-        finish(merged)
+        return merged, True
 
     # Resume mid-merge: a prior run may have completed every shard of
     # a parent without persisting the merge (the merge is idempotent
     # and deterministic, so re-deriving it is always safe).
     for parent_hash, plan in shard_plan.items():
         if parent_hash not in records:
-            _after_land(plan[0].unit_hash)
+            land(*merged_parent(plan[0].unit_hash))
 
     def retryable(unit: UnitSpec) -> bool:
         """Queue-or-quarantine triage for a not-yet-completed unit."""
@@ -997,7 +1007,7 @@ def _run_campaign(
                     except BaseException:
                         release_quietly(unit.unit_hash)  # don't strand it
                         raise
-                    finish(record)
+                    land(record, persist=True)
                 else:
                     # Each worker heartbeats its own lease while the
                     # unit runs (see lease_heartbeat), so the TTL can
@@ -1039,7 +1049,7 @@ def _run_campaign(
                     except Exception as exc:
                         unit_failed(unit, exc)
                         continue
-                    finish(record)
+                    land(record, persist=True)
                 continue
             if deferred:
                 # Every remaining unit is leased elsewhere: wait for

@@ -179,7 +179,7 @@ def _broadcast_source_results(
         )
     else:
         # "batched": the structure-of-arrays sweep, which
-        # re-runs ineligible sources (adaptive schedules, failed
+        # re-runs ineligible sources (declared faults, failed
         # dynamic checks) event-driven per source — records are
         # bit-identical either way, hashes included.
         from repro.core.batch_broadcast import run_batch_broadcasts

@@ -14,18 +14,22 @@ Fallback mirrors the hop-batched wormhole walk's guard philosophy:
 whenever exactness cannot be *proved*, the affected source silently
 re-runs on the event-driven engine —
 
-* adaptive schedules (AB) resolve routing against live channel load,
-  so the whole batch falls back;
-* any declared channel fault falls back too (the event engine is the
-  defined semantics for faulty topologies, delivering or raising
-  :class:`~repro.network.faults.FaultyChannelError` per source);
-* per-source dynamic checks (channel-occupancy conflicts, a walk that
-  outruns its first delivery) hand just that source back.
+* any declared channel fault sends every source there (the event
+  engine is the defined semantics for faulty topologies, delivering or
+  raising :class:`~repro.network.faults.FaultyChannelError` per
+  source);
+* per-source dynamic checks (channel-occupancy conflicts, a launcher
+  fed by a walk that outruns its first delivery, an adaptive first hop
+  whose channel is still held, a hook-time tie the sweep cannot order)
+  hand just that source back.
 
-A launcher's worms that share their first channel are not a conflict:
-the later one queues there and the sweep models that FIFO handover
-exactly (see :mod:`repro.sim.batch`), so RD, EDN and DB batch every
-Fig. 1 source and only AB takes the event engine.
+Adaptive schedules (AB) batch too: the least-loaded choice keeps the
+routing function's first candidate while that channel is idle, so the
+plan takes it and the sweep proves it idle at every choice.  A launcher's worms that
+share their first channel are not a conflict either: the later one
+queues there and the sweep models that FIFO handover exactly (see
+:mod:`repro.sim.batch`), so all four algorithms batch every Fig. 1
+source.
 
 Duplicate sources — common under the paper's uniform random draw —
 are planned and swept once and share their outcome; the event engine
@@ -35,8 +39,6 @@ would recompute identical floats for each copy.
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.core.adaptive_broadcast import AdaptiveBroadcast
 from repro.core.executors import BroadcastOutcome, EventDrivenExecutor
@@ -51,17 +53,20 @@ __all__ = ["run_batch_broadcasts"]
 
 def _event_outcome(
     mesh: Mesh,
-    algorithm,
     config: NetworkConfig,
     schedule: BroadcastSchedule,
     length_flits: int,
     faults: Sequence[Tuple[Tuple[int, ...], Tuple[int, ...]]],
+    routing,
 ) -> BroadcastOutcome:
     """One event-driven broadcast, exactly as ``run_single_broadcasts``.
 
     ``schedule`` is ``algorithm.schedule(source)``; schedules are
     read-only, so a source that was planned for the sweep and fell
     back hands its plan's schedule over instead of rebuilding it.
+    ``routing`` is the algorithm's adaptive routing function, or
+    ``None``; routing functions hold no state, so one serves every
+    source.
     """
     network = NetworkSimulator(mesh, config)
     if faults:
@@ -70,11 +75,6 @@ def _event_outcome(
         model = FaultModel(network)
         for u, v in faults:
             model.fail_channel(u, v)
-    routing = (
-        type(algorithm).make_routing(mesh)
-        if getattr(algorithm, "adaptive", False)
-        else None
-    )
     executor = EventDrivenExecutor(network, adaptive_routing=routing)
     return executor.execute(schedule, length_flits)
 
@@ -123,20 +123,25 @@ def run_batch_broadcasts(
             unique[key] = len(order)
             order.append(key)
 
-    adaptive = bool(getattr(algorithm, "adaptive", False))
+    routing = (
+        type(algorithm).make_routing(mesh)
+        if getattr(algorithm, "adaptive", False)
+        else None
+    )
     outcomes: List[Optional[BroadcastOutcome]] = [None] * len(order)
     swept_ok = [False] * len(order)
     # Schedules built for planning, reused by any source that falls back.
     schedules: List[Optional[BroadcastSchedule]] = [None] * len(order)
 
-    if not adaptive and not faults:
-        node_index = {coord: i for i, coord in enumerate(mesh.nodes())}
+    if not faults:
+        coords = list(mesh.nodes())
+        node_index = {coord: i for i, coord in enumerate(coords)}
         n_nodes = len(node_index)
         plans = []
         plan_source = []
         for idx, source in enumerate(order):
             schedules[idx] = algorithm.schedule(source)
-            plan = plan_broadcast(schedules[idx], node_index, n_nodes)
+            plan = plan_broadcast(schedules[idx], node_index, n_nodes, routing)
             if plan is not None:
                 plans.append(plan)
                 plan_source.append(idx)
@@ -153,15 +158,12 @@ def run_batch_broadcasts(
             for row, (plan, idx) in enumerate(zip(plans, plan_source)):
                 if not swept.ok[row]:
                     continue
-                values = swept.node_time[row, plan.delivered_nodes]
-                # The event-driven arrivals dict fills in hook order ==
-                # nondecreasing arrival time (an eligibility guarantee),
-                # so any nondecreasing arrangement of the same values
-                # reproduces its latency array byte for byte.
-                by_time = np.argsort(values, kind="stable")
+                times = swept.node_time[row]
+                # The event-driven arrivals dict fills in hook order,
+                # which the sweep proved and reports per source.
                 arrivals = {
-                    plan.delivered_coords[i]: float(values[i])
-                    for i in by_time
+                    coords[i]: float(times[i])
+                    for i in swept.hook_order[row].tolist()
                 }
                 outcomes[idx] = BroadcastOutcome(
                     algorithm=plan.algorithm,
@@ -176,7 +178,7 @@ def run_batch_broadcasts(
         if outcomes[idx] is None:
             schedule = schedules[idx] or algorithm.schedule(source)
             outcomes[idx] = _event_outcome(
-                mesh, algorithm, config, schedule, length_flits, faults
+                mesh, config, schedule, length_flits, faults, routing
             )
 
     if profile is not None:

@@ -22,7 +22,6 @@ from repro.core.base import BroadcastAlgorithm
 from repro.core.schedule import BroadcastSchedule, BroadcastStep, PathSend
 from repro.network.coordinates import Coordinate
 from repro.network.message import ControlField
-from repro.routing.cpr import straight_line_path
 from repro.routing.paths import Path
 
 __all__ = ["RecursiveDoubling"]
@@ -99,13 +98,17 @@ class RecursiveDoubling(BroadcastAlgorithm):
             partner_pos = min(pos + half, hi - 1)
         else:
             partner_pos = pos - half
-        partner = holder[:axis] + (partner_pos,) + holder[axis + 1 :]
-        path = straight_line_path(holder, axis, partner_pos)
+        head, tail = holder[:axis], holder[axis + 1 :]
+        partner = head + (partner_pos,) + tail
+        step = 1 if partner_pos > pos else -1
+        nodes = [
+            head + (v,) + tail for v in range(pos, partner_pos + step, step)
+        ]
         out[level].append(
             PathSend(
                 source=holder,
                 deliveries=frozenset({partner}),
-                path=Path(path.nodes, deliveries=[partner]),
+                path=Path(nodes, deliveries=[partner]),
                 control=ControlField.RECEIVE,
             )
         )

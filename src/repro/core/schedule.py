@@ -62,9 +62,13 @@ class PathSend:
                 raise ValueError(
                     f"path source {self.path.source} != send source {self.source}"
                 )
-            stray = self.deliveries - set(self.path.nodes)
-            if stray:
-                raise ValueError(f"deliveries {sorted(stray)} not on the path")
+            # The path already checked its own deliveries are on it.
+            if not self.deliveries <= self.path.deliveries:
+                stray = self.deliveries - set(self.path.nodes)
+                if stray:
+                    raise ValueError(
+                        f"deliveries {sorted(stray)} not on the path"
+                    )
         else:
             wp = tuple(tuple(w) for w in self.waypoints)
             object.__setattr__(self, "waypoints", wp)

@@ -60,8 +60,8 @@ class SimProfile:
     ``batch_sources_batched`` / ``batch_sources_fallback``
         Broadcast sources served by the structure-of-arrays batch
         engine (:mod:`repro.core.batch_broadcast`) vs handed back to
-        the per-source event-driven fallback (adaptive schedules,
-        faulty channels, failed eligibility checks).
+        the per-source event-driven fallback (declared channel faults,
+        failed eligibility checks).
     """
 
     __slots__ = (

@@ -41,13 +41,13 @@ class Path:
         nodes: Sequence[Coordinate],
         deliveries: Sequence[Coordinate] | None = None,
     ):
-        nodes_t = tuple(tuple(n) for n in nodes)
+        nodes_t = tuple(map(tuple, nodes))
         if len(nodes_t) < 1:
             raise ValueError("a path needs at least one node")
         if deliveries is None:
             deliveries_f = frozenset({nodes_t[-1]}) if len(nodes_t) > 1 else frozenset()
         else:
-            deliveries_f = frozenset(tuple(d) for d in deliveries)
+            deliveries_f = frozenset(map(tuple, deliveries))
         on_path = set(nodes_t)
         stray = deliveries_f - on_path
         if stray:

@@ -14,7 +14,11 @@ from repro.core import (
     ExtendedDominatingNodes,
     RecursiveDoubling,
 )
+from repro.core.schedule import PathSend
+from repro.experiments.common import random_sources
 from repro.network import ControlField, Mesh
+from repro.routing.cpr import straight_line_path
+from repro.routing.paths import Path
 
 
 # ----------------------------------------------------------------- EDN
@@ -166,3 +170,50 @@ def test_rd_line_sends_shrink_within_dimension():
         ]
         jumps_per_step.append(max(jumps))
     assert jumps_per_step == [4, 2, 1]
+
+
+class _TwoStepRD(RecursiveDoubling):
+    """RD as first written: each send's path built twice.
+
+    ``straight_line_path`` builds a validated path that delivers to
+    every node of the run, which was then re-wrapped to deliver to the
+    partner alone.  The schedule must not depend on which is used.
+    """
+
+    def _cover_line(self, holder, axis, lo, hi, level, out):
+        n = hi - lo
+        if n <= 1:
+            return
+        half = (n + 1) // 2
+        pos = holder[axis]
+        if pos < lo + half:
+            partner_pos = min(pos + half, hi - 1)
+        else:
+            partner_pos = pos - half
+        partner = holder[:axis] + (partner_pos,) + holder[axis + 1 :]
+        path = straight_line_path(holder, axis, partner_pos)
+        out[level].append(
+            PathSend(
+                source=holder,
+                deliveries=frozenset({partner}),
+                path=Path(path.nodes, deliveries=[partner]),
+                control=ControlField.RECEIVE,
+            )
+        )
+        left = (lo, lo + half)
+        right = (lo + half, hi)
+        own_part, other_part = (
+            (left, right) if pos < lo + half else (right, left)
+        )
+        self._cover_line(holder, axis, own_part[0], own_part[1], level + 1, out)
+        self._cover_line(partner, axis, other_part[0], other_part[1], level + 1, out)
+
+
+@pytest.mark.parametrize(
+    "dims", [(8,), (4, 4), (5, 3), (3, 5, 7), (8, 8, 8), (16, 16, 16)]
+)
+def test_rd_schedule_matches_the_two_step_path_construction(dims):
+    mesh = Mesh(dims)
+    for source in random_sources(dims, 3, seed=5):
+        expected = _TwoStepRD(mesh).schedule(source)
+        assert RecursiveDoubling(mesh).schedule(source) == expected, source

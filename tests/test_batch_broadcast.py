@@ -4,15 +4,16 @@ The engine's whole contract is *bit-identical results at vector
 speed*: every per-source outcome — arrival dict (insertion order
 included), derived latency statistics, unit-record floats and the
 content hash of the record's spec — must match the per-source
-event-driven engine exactly, with ineligible sources (adaptive
-schedules, faulty channels, walks that outrun their first delivery,
-channel-occupancy conflicts other than a launcher's first-channel
-handover) silently falling back per source.  These tests pin that
-contract, the engine knob's resolution order, and the cost model's
-engine feature.
+event-driven engine exactly, with ineligible sources (faulty channels,
+launchers fed by walks that outrun their first delivery, adaptive
+first hops whose channel is still busy, channel-occupancy conflicts
+other than a launcher's first-channel handover) silently falling back
+per source.  These tests pin that contract, the engine knob's
+resolution order, and the cost model's engine feature.
 """
 
 import dataclasses
+import itertools
 import os
 
 import pytest
@@ -44,6 +45,7 @@ from repro.experiments.common import random_sources, run_single_broadcasts
 from repro.network.faults import FaultyChannelError
 from repro.obs.simprof import SimProfile
 from repro.routing.paths import Path
+from repro.routing.turn_model import WestFirst
 
 
 @pytest.fixture(autouse=True)
@@ -115,9 +117,10 @@ def test_batched_matches_event_engine_properties():
 
 def test_short_message_walks_fall_back_and_still_match():
     # With L=4 flits most DB worms' walks outrun their first delivery
-    # (remaining hops >= L-1), failing the sweep's wave-eligibility
-    # check *after* planning — the fallback must be taken and the
-    # results must still be identical.
+    # (remaining hops >= L-1), and DB's worms deliver to nodes that
+    # launch sends of their own: those launches would happen at the
+    # walk's end, not the arrival, so the check *after* planning must
+    # take the fallback — and the results must still be identical.
     dims, length = (8, 8), 4
     sources = random_sources(dims, 8, seed=2)
     profile = SimProfile()
@@ -133,18 +136,156 @@ def test_short_message_walks_fall_back_and_still_match():
     )
 
 
-def test_adaptive_algorithm_falls_back_whole_batch():
-    dims = (4, 4)
-    sources = random_sources(dims, 4, seed=0)
+# ------------------------------------------------------ adaptive (AB)
+def every_source(dims):
+    return list(itertools.product(*(range(k) for k in dims)))
+
+
+def uncontended(dims):
+    # On a 2-D mesh a west-edge corner source contends with itself (see
+    # the test after the next); every other source batches.
+    west_corners = {(0, 0), (0, dims[1] - 1)}
+    return [s for s in every_source(dims) if s not in west_corners]
+
+
+@pytest.mark.parametrize(
+    "dims, sources, kwargs",
+    [
+        ((4, 4), uncontended((4, 4)), {}),
+        ((5, 3), uncontended((5, 3)), {}),
+        ((8, 8), uncontended((8, 8)), {}),
+        ((4, 4, 8), random_sources((4, 4, 8), 12, seed=0), {}),
+        ((16, 16, 16), random_sources((16, 16, 16), 2, seed=0), {}),
+        (
+            (4, 4, 8),
+            random_sources((4, 4, 8), 12, seed=1),
+            {"ports_override": 1},
+        ),
+        ((8, 8), every_source((8, 8)), {"max_destinations_per_path": 1}),
+        (
+            (4, 4, 8),
+            random_sources((4, 4, 8), 12, seed=2),
+            {"max_destinations_per_path": 1},
+        ),
+        (
+            (4, 4, 8),
+            random_sources((4, 4, 8), 12, seed=3),
+            {"max_destinations_per_path": 3},
+        ),
+    ],
+)
+def test_adaptive_broadcast_batches_and_matches(dims, sources, kwargs):
+    # On an idle network AB's least-loaded choice is its routing
+    # function's first candidate; the sweep takes it and proves it.
     profile = SimProfile()
-    event = run_single_broadcasts("AB", dims, sources, 128)
+    event = run_single_broadcasts("AB", dims, sources, 100, **kwargs)
     batched = run_batch_broadcasts(
-        "AB", dims, sources, 128, profile=profile
+        "AB", dims, sources, 100, profile=profile, **kwargs
     )
     assert_outcomes_identical(batched, event)
-    assert profile.batch_sources_batched == 0
-    assert profile.batch_sources_fallback == len(sources)
-    assert profile.batch_batched_ratio == 0.0
+    assert profile.batch_sources_fallback == 0
+    assert profile.batch_sources_batched == len(sources)
+
+
+def test_contended_adaptive_sources_fall_back_and_match():
+    # A west-edge corner source of a 2-D mesh launches its step-1 worm
+    # and its own coverage worm at once, and they meet on one channel:
+    # the DES queues one behind the other, which the sweep refuses.
+    dims = (4, 4)
+    sources = [(0, 0), (0, 3), (1, 1)]
+    profile = SimProfile()
+    event = run_single_broadcasts("AB", dims, sources, 100)
+    batched = run_batch_broadcasts("AB", dims, sources, 100, profile=profile)
+    assert_outcomes_identical(batched, event)
+    assert profile.batch_sources_fallback == 2
+    assert profile.batch_sources_batched == 1
+
+
+def test_tied_walk_ends_are_ordered_like_the_event_engine(monkeypatch):
+    # On 16x16x16 at L=100 every step-3 coverage worm outruns its
+    # deliveries (127 hops), so each fires a batch of them when its walk
+    # ends.  In these sources several planes' worms end their walks at
+    # the same instant with different value sequences (one misses the
+    # source node): only the DES event order fixes the arrival order.
+    from repro.core.executors import _BroadcastRun
+
+    dims = (16, 16, 16)
+    sources = [(2, 3, 7), (0, 5, 3)]
+    hooks = []
+    on_delivery = _BroadcastRun.on_delivery
+
+    def spy(run, record):
+        now = run.executor.network.env.now
+        hooks.append((now, record.message_uid, record.time))
+        on_delivery(run, record)
+
+    monkeypatch.setattr(_BroadcastRun, "on_delivery", spy)
+    event = []
+    for source in sources:
+        hooks.clear()
+        event += run_single_broadcasts("AB", dims, [source], 100)
+        runs = {}
+        for now, uid, value in hooks:
+            runs.setdefault(now, {}).setdefault(uid, []).append(value)
+        assert any(
+            len({tuple(v) for v in by_uid.values()}) > 1
+            for by_uid in runs.values()
+        ), source
+    monkeypatch.undo()
+
+    profile = SimProfile()
+    batched = run_batch_broadcasts("AB", dims, sources, 100, profile=profile)
+    assert_outcomes_identical(batched, event)
+    assert profile.batch_sources_fallback == 0
+
+
+def test_busy_adaptive_first_hop_falls_back(monkeypatch):
+    # Both worms leave (0, 0) at once.  The plan routes the adaptive one
+    # over its first candidate, east, behind the first worm (a
+    # first-channel handover) — but it chooses right after start-up,
+    # when east is held, so the DES sends it north instead.
+    source = (0, 0)
+    row = [(0, 0), (1, 0), (2, 0), (3, 0)]
+    schedule = BroadcastSchedule(
+        algorithm="HAND",
+        source=source,
+        steps=[
+            BroadcastStep(
+                1,
+                [
+                    PathSend(
+                        source=source,
+                        deliveries=frozenset(row[1:]),
+                        path=Path(row, row[1:]),
+                    ),
+                    PathSend(
+                        source=source,
+                        deliveries=frozenset({(2, 2)}),
+                        waypoints=(source, (2, 2)),
+                    ),
+                ],
+            )
+        ],
+    )
+    algorithm = type(
+        "HandAdaptive",
+        (BroadcastAlgorithm,),
+        {
+            "name": "HAND",
+            "ports_required": 2,
+            "adaptive": True,
+            "make_routing": classmethod(lambda cls, mesh: WestFirst(mesh)),
+            "build_schedule": lambda self, _source: schedule,
+        },
+    )
+    monkeypatch.setitem(ALGORITHMS, "HAND", algorithm)
+    profile = SimProfile()
+    event = run_single_broadcasts("HAND", (4, 4), [source], 32)
+    batched = run_batch_broadcasts(
+        "HAND", (4, 4), [source], 32, profile=profile
+    )
+    assert_outcomes_identical(batched, event)
+    assert profile.batch_sources_fallback == 1
 
 
 # ------------------------------------------- first-channel handovers
@@ -287,25 +428,23 @@ def test_remerging_worms_of_one_launcher_fall_back(monkeypatch):
 
 
 # --------------------------------------------------------------- faults
-def test_faulty_topology_forces_event_fallback():
-    # Any declared fault disqualifies the whole batch: the event
-    # engine is the defined semantics for faulty topologies.  A fault
-    # on a channel no schedule uses must leave results identical to
-    # the pristine run while every source reports as fallback.
+def check_unused_fault_falls_back(name, sources):
+    """A fault on a channel no schedule uses: all sources fall back."""
     from repro.core.registry import get_algorithm
     from repro.network.topology import Mesh
     from repro.sim.batch import plan_broadcast
 
     dims = (4, 4)
-    sources = [(0, 0), (1, 1)]
     mesh = Mesh(dims)
     nodes = list(mesh.nodes())
     node_index = {coord: i for i, coord in enumerate(nodes)}
-    algorithm = get_algorithm("DB")(mesh)
+    cls = get_algorithm(name)
+    algorithm = cls(mesh)
+    routing = cls.make_routing(mesh) if cls.adaptive else None
     used = set()
     for source in sources:
         plan = plan_broadcast(
-            algorithm.schedule(source), node_index, len(nodes)
+            algorithm.schedule(source), node_index, len(nodes), routing
         )
         used.update(int(k) for k in plan.chan_key)
 
@@ -328,13 +467,27 @@ def test_faulty_topology_forces_event_fallback():
     assert unused is not None, "every channel pair is in use"
 
     profile = SimProfile()
-    pristine = run_single_broadcasts("DB", dims, sources, 64)
+    pristine = run_single_broadcasts(name, dims, sources, 64)
     batched = run_batch_broadcasts(
-        "DB", dims, sources, 64, faults=[unused], profile=profile
+        name, dims, sources, 64, faults=[unused], profile=profile
     )
     assert_outcomes_identical(batched, pristine)
     assert profile.batch_sources_batched == 0
     assert profile.batch_sources_fallback == len(sources)
+
+
+def test_faulty_topology_forces_event_fallback():
+    # Any declared fault disqualifies the whole batch: the event
+    # engine is the defined semantics for faulty topologies.  A fault
+    # on a channel no schedule uses must leave results identical to
+    # the pristine run while every source reports as fallback.
+    check_unused_fault_falls_back("DB", [(0, 0), (1, 1)])
+
+
+def test_faulty_topology_forces_event_fallback_for_adaptive():
+    # AB batches on a pristine mesh; a declared fault still sends every
+    # source to the event engine, whose adaptive worms route around it.
+    check_unused_fault_falls_back("AB", [(1, 1), (2, 2)])
 
 
 def test_faulty_channel_on_path_raises_like_event_engine():
@@ -441,7 +594,7 @@ def test_cost_features_engine_indicator():
     set_broadcast_engine("batched")
     assert cost_features(spec)[-1] == 1.0
     ab = cell_spec(algorithm="AB")
-    assert cost_features(ab)[-1] == 0.0
+    assert cost_features(ab)[-1] == 1.0
     traffic = UnitSpec(
         experiment="fig3",
         kind="traffic",

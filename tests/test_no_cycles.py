@@ -1,23 +1,33 @@
-"""The simulator builds no reference cycles on a successful run.
+"""The simulator and the campaign layer build no reference cycles.
 
 ``Environment.run`` pauses the cyclic garbage collector for the length
 of its loop (``docs/performance.md``, "Kernel — no reference cycles,
 collector paused in ``run()``").  That is only safe while everything a
 simulation discards is freed by reference counting alone, so every
 case below runs with the collector off and then asks it to find
-garbage: it must find none.
+garbage: it must find none.  A campaign run keeps to the same rule, so
+its records are freed the moment the caller drops them.
 
 Failing runs are out of scope: an exception's traceback is a cycle by
 design (frame → traceback → frame).
 """
 
+import dataclasses
 import gc
 from collections import Counter
 
 import pytest
 
-from repro.campaigns import UnitSpec, execute_unit, freeze_params, shard_specs
+from repro.campaigns import (
+    CampaignSpec,
+    UnitSpec,
+    execute_unit,
+    freeze_params,
+    run_campaign,
+    shard_specs,
+)
 from repro.campaigns.shards import BROADCAST_CELL_KIND
+from repro.campaigns.store import SqliteStore
 from repro.network.topology import Mesh
 from repro.traffic.workload import MixedTrafficConfig, MixedTrafficSimulation
 
@@ -90,7 +100,6 @@ def cell_unit():
 @pytest.mark.parametrize("engine", ["batched", "event"])
 @pytest.mark.parametrize("algorithm", ["RD", "EDN", "DB", "AB"])
 def test_broadcast_unit_is_cycle_free(algorithm, engine):
-    # AB is adaptive, so the batched engine falls back to the event one.
     found, kinds = cyclic_garbage(
         lambda: execute_unit(broadcast_unit(algorithm), engine=engine)
     )
@@ -108,6 +117,21 @@ def test_broadcast_cell_is_cycle_free(engine):
 def test_broadcast_shard_is_cycle_free():
     shard = shard_specs(cell_unit(), 2)[0]
     found, kinds = cyclic_garbage(lambda: execute_unit(shard))
+    assert found == 0, kinds
+
+
+def test_campaign_run_into_sqlite_is_cycle_free(tmp_path):
+    units = tuple(
+        dataclasses.replace(broadcast_unit("DB"), replication=r)
+        for r in range(2)
+    )
+    spec = CampaignSpec(name="cycles", seed=0, units=units)
+    store = SqliteStore(str(tmp_path / "cycles.sqlite"))
+    records = []
+    found, kinds = cyclic_garbage(
+        lambda: records.extend(run_campaign(spec, store=store))
+    )
+    assert [r.ok for r in records] == [True, True]
     assert found == 0, kinds
 
 
