@@ -28,8 +28,8 @@ Core pieces:
 * :mod:`repro.campaigns.shards` — the parent→shard relationship: a
   heavy traffic point with ``shards=K`` fans out into K independent
   per-substream replications, a broadcast cell slices its source axis
-  (fan-out picked at dispatch time, ``--shards auto`` inverting the
-  fitted cost model), and a deterministic reducer fires when the last
+  (fan-out picked at dispatch time, ``--shards auto`` giving one shard
+  per worker), and a deterministic reducer fires when the last
   shard lands (``repro fig3 --shards 4 --workers 4``,
   ``repro fig1 --shards auto --workers 8``);
 * :mod:`repro.campaigns.aggregate` — merges unit records back into the
@@ -52,13 +52,6 @@ from repro.campaigns.aggregate import (
     aggregate,
     failed_records,
     register_aggregator,
-)
-from repro.campaigns.costmodel import (
-    CostModel,
-    auto_shard_count,
-    fit_cost_model,
-    load_cost_model,
-    load_default_cost_model,
 )
 from repro.campaigns.pool import (
     TooManyFailuresError,
@@ -99,7 +92,6 @@ __all__ = [
     "CampaignCoordinator",
     "CampaignSpec",
     "CampaignStore",
-    "CostModel",
     "HttpStore",
     "JsonlStore",
     "ResultStore",
@@ -111,16 +103,12 @@ __all__ = [
     "UnitSpec",
     "WorkerCrashError",
     "aggregate",
-    "auto_shard_count",
     "default_store_path",
     "estimate_unit_cost",
     "execute_unit",
     "failed_records",
-    "fit_cost_model",
     "freeze_params",
     "make_failure_record",
-    "load_cost_model",
-    "load_default_cost_model",
     "merge_shard_records",
     "open_store",
     "order_units",

@@ -14,10 +14,10 @@ Three orthogonal dispatch concerns live here:
 ordering (follows ``workers``)
     A serial run dispatches in declaration order: order cannot change
     a serial makespan.  A pooled run orders pending units by
-    :func:`estimate_unit_cost` (mesh size × traffic load × message
-    length, or the fitted cost model when one exists), largest first,
-    so the slowest cells start early and the campaign's makespan
-    shrinks (classic longest-processing-time list scheduling).
+    :func:`estimate_unit_cost` (operations × worms × worm length, a
+    pure function of the spec), largest first, so the slowest cells
+    start early and the campaign's makespan shrinks (classic
+    longest-processing-time list scheduling).
 leasing (``store=`` with a lease-capable backend)
     Before executing a unit the pool claims it through the store's
     lease protocol; units claimed by a concurrent pool are deferred
@@ -35,9 +35,9 @@ a deterministic merge that fires — in whichever pool observes the last
 shard — as soon as all shard records exist.  Traffic points declare
 their fan-out in their hashed ``shards=K`` parameter (it is protocol);
 broadcast cells get theirs from ``run_campaign``'s ``shards=`` request
-at dispatch time — including the cost-model-driven ``shards="auto"`` —
-because slicing a cell's source axis can never change a float of its
-merged record; see :mod:`repro.campaigns.shards`.
+at dispatch time (``shards="auto"`` gives each cell one shard per
+worker), because slicing a cell's source axis can never change a float
+of its merged record; see :mod:`repro.campaigns.shards`.
 
 Unit runners register under a *kind* key ("broadcast", "traffic");
 :mod:`repro.campaigns.units` provides the built-ins and is imported
@@ -55,7 +55,7 @@ Example::
 
 from __future__ import annotations
 
-import math
+import functools
 import threading
 import time
 import warnings
@@ -64,7 +64,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.campaigns.spec import CampaignSpec, UnitSpec
 from repro.campaigns.store import (
@@ -78,19 +78,18 @@ from repro.campaigns.store import (
 )
 from repro.obs.trace import NULL_TRACER
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.campaigns.costmodel import CostModel
-
 __all__ = [
     "ProgressFn",
     "TooManyFailuresError",
     "WorkerCrashError",
+    "broadcast_worms",
     "estimate_unit_cost",
     "lease_heartbeat",
     "order_units",
     "register_unit_runner",
     "execute_unit",
     "run_campaign",
+    "unit_budget",
 ]
 
 
@@ -143,61 +142,110 @@ def _runner_for(kind: str) -> Callable[[UnitSpec], Dict[str, Any]]:
 
 
 # ---------------------------------------------------------- dispatch order
-def estimate_unit_cost(
-    spec: UnitSpec, model: Optional["CostModel"] = None
-) -> float:
-    """Relative wall-clock cost estimate for one unit.
+#: Kinds whose operations are broadcasts of ``spec.algorithm``; traffic
+#: kinds mix them with unicasts.
+_BROADCAST_KINDS = ("broadcast", "broadcast-cell", "broadcast-shard")
+_TRAFFIC_KINDS = ("traffic", "traffic-shard")
 
-    With a fitted :class:`~repro.campaigns.costmodel.CostModel` (from
-    ``repro campaign fit-cost``) the estimate is the model's predicted
-    wall seconds; otherwise it falls back to the static heuristic — a
-    pure function of the spec (no timing, no state): mesh size ×
-    traffic load × message length, with traffic units further scaled
-    by their batch budget and barrier twins counted twice.  Only the
-    *ordering* of estimates matters — :func:`order_units` sorts pooled
-    runs by it — so crude is fine as long as 16×16×8 at high load reliably
-    outranks 4×4×4 at idle.
+
+def unit_budget(spec: UnitSpec) -> float:
+    """The unit's own operation count, in its kind's natural unit.
+
+    Traffic points and their shards: observations (batch size × the
+    unit's *own* batch count — a shard's is its slice).  Broadcast
+    cells: their source count; broadcast shards: their slice of it.
+    Anything else (one single-source broadcast): 1.
     """
-    if model is not None:
-        return model.predict(spec)
-    from repro.campaigns.costmodel import unit_budget
+    if spec.kind in _TRAFFIC_KINDS:
+        return float(spec.param("batch_size", 25)) * float(
+            spec.param("num_batches", 21)
+        )
+    if spec.kind == "broadcast-cell":
+        return float(spec.param("sources_count", 1))
+    if spec.kind == "broadcast-shard":
+        return float(spec.param("source_count", 1))
+    return 1.0
 
-    nodes = float(math.prod(spec.dims))
-    cost = nodes * float(max(spec.length_flits, 1))
-    if spec.load is not None:
-        cost *= max(float(spec.load), 1.0)
-    # The kind's own work budget (a traffic unit's observation count,
-    # a broadcast cell's source count, a shard's slice of either) —
-    # shared with the fitted model's budget feature, so the heuristic
-    # and the model rank the same units the same way.  A shard's
-    # params carry its own (smaller) slice, so the estimate is
-    # naturally per-shard: the LPT scheduler orders shards against
-    # whole points on the same scale.
-    cost *= max(unit_budget(spec), 1.0)
+
+@functools.lru_cache(maxsize=None)
+def broadcast_worms(
+    algorithm: str,
+    dims: Tuple[int, ...],
+    max_destinations_per_path: Optional[int] = None,
+) -> Tuple[int, float]:
+    """(worms, mean hops per worm) of one broadcast from the mesh origin.
+
+    The paper's cost argument in two numbers: how many message-passing
+    steps the algorithm launches and how far each one travels.  A
+    unit's ``ports_override`` changes contention, not the schedule, so
+    it is not part of the key.
+    """
+    from repro.core.adaptive_broadcast import AdaptiveBroadcast
+    from repro.core.registry import get_algorithm
+    from repro.network.topology import Mesh
+
+    mesh = Mesh(dims)
+    cls = get_algorithm(algorithm)
+    if cls is AdaptiveBroadcast and max_destinations_per_path is not None:
+        built = cls(mesh, max_destinations_per_path=max_destinations_per_path)
+    else:
+        built = cls(mesh)
+    sends = [send for _, send in built.schedule((0,) * len(dims)).all_sends()]
+    return len(sends), sum(send.min_hops(mesh) for send in sends) / len(sends)
+
+
+def estimate_unit_cost(spec: UnitSpec) -> float:
+    """Relative simulated work of one unit — a pure function of the spec.
+
+    operations × worms per operation × (L + mean hops per worm), where
+    a broadcast operation launches :func:`broadcast_worms` worms and a
+    traffic operation is a broadcast with the unit's broadcast fraction
+    ``bf`` and a unicast otherwise (``bf × W + (1 − bf)`` worms).
+    Barrier twins count twice.  Only the *ordering* of estimates
+    matters — :func:`order_units` sorts pooled runs by it — and a
+    shard's params carry its own slice of the operations, so shards
+    rank against whole units on the same scale.  Other kinds, and
+    specs whose schedule cannot be built, count one worm of ``L`` flits
+    per operation.
+    """
+    worms, hops = 1.0, 0.0
+    if spec.kind in _BROADCAST_KINDS or spec.kind in _TRAFFIC_KINDS:
+        try:
+            worms, hops = broadcast_worms(
+                spec.algorithm,
+                tuple(spec.dims),
+                spec.param("max_destinations_per_path"),
+            )
+        except (KeyError, ValueError):
+            # An unknown algorithm or a mesh it cannot broadcast on:
+            # the unit fails when it runs and records that failure, so
+            # ordering it must not abort the campaign first.
+            pass
+    if spec.kind in _TRAFFIC_KINDS:
+        fraction = float(spec.param("broadcast_fraction", 0.1))
+        worms = fraction * worms + (1.0 - fraction)
+    cost = unit_budget(spec) * worms * (float(spec.length_flits) + hops)
     if spec.param("barrier", False):
         cost *= 2.0  # the unit also runs its barrier twin
     return cost
 
 
 def order_units(
-    units: Sequence[UnitSpec],
-    workers: int = 1,
-    model: Optional["CostModel"] = None,
+    units: Sequence[UnitSpec], workers: int = 1
 ) -> List[UnitSpec]:
     """Dispatch order for ``units`` on ``workers`` processes.
 
     One worker keeps declaration order: order cannot change a serial
     makespan, and a serial store keeps appending in grid order.  More
-    workers sort by descending :func:`estimate_unit_cost` (optionally
-    under a fitted ``model``) with declaration order as the
-    tie-break, so the ordering is deterministic for a given grid and
-    model file.
+    workers sort by descending :func:`estimate_unit_cost` with
+    declaration order as the tie-break, so the ordering is
+    deterministic for a given grid.
     """
     if workers <= 1:
         return list(units)
     indexed = sorted(
         enumerate(units),
-        key=lambda pair: (-estimate_unit_cost(pair[1], model), pair[0]),
+        key=lambda pair: (-estimate_unit_cost(pair[1]), pair[0]),
     )
     return [unit for _, unit in indexed]
 
@@ -411,7 +459,6 @@ def run_campaign(
     progress: Optional[ProgressFn] = None,
     *,
     cache: Sequence[CampaignStore] = (),
-    cost_model: Optional["CostModel"] = None,
     shards: int | str = 1,
     lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
     poll_interval_s: float = 0.5,
@@ -470,7 +517,6 @@ def run_campaign(
                 store,
                 progress,
                 cache=cache,
-                cost_model=cost_model,
                 shards=shards,
                 lease_ttl_s=lease_ttl_s,
                 poll_interval_s=poll_interval_s,
@@ -503,7 +549,6 @@ def _run_campaign(
     progress: Optional[ProgressFn] = None,
     *,
     cache: Sequence[CampaignStore] = (),
-    cost_model: Optional["CostModel"] = None,
     shards: int | str = 1,
     lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
     poll_interval_s: float = 0.5,
@@ -539,19 +584,12 @@ def _run_campaign(
         Read-only stores consulted for prior records with the same
         content hash (e.g. the overlapping ``quick``-scale store of a
         ``full`` campaign).  Hits are copied into ``store``.
-    cost_model:
-        Optional fitted :class:`~repro.campaigns.costmodel.CostModel`
-        that orders pooled runs (and resolves ``shards="auto"``)
-        instead of the static heuristic (``repro campaign fit-cost``
-        produces one; ``campaigns/cost_model.json`` is loaded when
-        present).  Affects dispatch only, never results.
     shards:
         Fan-out request for **broadcast cell** units (kind
         ``"broadcast-cell"``): an integer slices each cell's source
         axis that many ways (capped by the cell's replication count),
-        ``"auto"`` inverts the fitted cost model per cell — capped by
-        ``workers`` and a minimum per-shard budget
-        (:func:`repro.campaigns.costmodel.auto_shard_count`).  The
+        ``"auto"`` fans each cell out to ``min(workers, sources)``
+        (:func:`repro.campaigns.shards.planned_shards`).  The
         expansion happens here, at dispatch time, because a broadcast
         cell's fan-out is pure work division: it is not part of the
         cell's content hash, racing pools agree on sub-unit identity
@@ -605,19 +643,6 @@ def _run_campaign(
         raise ValueError(
             f"shards must be a positive int or 'auto', got {shards!r}"
         )
-    if cost_model is None and (workers > 1 or shards == "auto"):
-        # Opportunistically use the fitted model from a prior
-        # `repro campaign fit-cost` run; silently absent otherwise.
-        from repro.campaigns.costmodel import load_default_cost_model
-
-        cost_model = load_default_cost_model()
-        if cost_model is not None and progress:
-            progress(
-                f"campaign {spec.name}: using fitted cost model"
-                f" ({cost_model.samples} samples,"
-                f" R^2={cost_model.r_squared:.2f})"
-            )
-
     # Sharded parents never execute directly: they fan out into shard
     # units and a deterministic merge that fires — in whichever pool
     # observes the last shard — as soon as all shard records exist.
@@ -635,12 +660,7 @@ def _run_campaign(
     shard_parent: Dict[str, str] = {}
     parent_by_hash: Dict[str, UnitSpec] = {}
     for unit in spec.units:
-        fan_out = planned_shards(
-            unit,
-            requested=shards,
-            cost_model=cost_model,
-            workers=workers,
-        )
+        fan_out = planned_shards(unit, requested=shards, workers=workers)
         if fan_out > 1:
             plan = shard_specs(unit, fan_out)
             shard_plan[unit.unit_hash] = plan
@@ -904,7 +924,7 @@ def _run_campaign(
             f" workers={min(workers, max(len(pending), 1))})"
         )
 
-    queue = deque(order_units(pending, workers, cost_model))
+    queue = deque(order_units(pending, workers))
     deferred: List[UnitSpec] = []  # leased by a concurrent pool
     deferred_ever: set = set()  # a later claim of these is a steal/retry
     last_wait_note = -1  # dedupe "waiting on N" progress lines
@@ -1078,7 +1098,7 @@ def _run_campaign(
                             f" concurrent pool"
                         )
                     time.sleep(poll_interval_s)
-                    queue.extend(order_units(missing, workers, cost_model))
+                    queue.extend(order_units(missing, workers))
             elif not queue and not active and cooldown:
                 # Nothing runnable until a backoff expires: sleep to
                 # the earliest deadline (bounded by the poll interval).

@@ -41,8 +41,8 @@ network, so the fan-out count cannot change a single float: unlike a
 traffic point's ``shards=K`` (a different statistical protocol, hence
 hashed), a broadcast cell's fan-out is pure work division.  It is
 therefore *not* part of the parent's content hash — the pool chooses it
-at dispatch time (``--shards K`` or the cost-model-driven
-``--shards auto``), racing pools agree on sub-unit identity through the
+at dispatch time (``--shards K``, or ``--shards auto`` for one shard
+per worker), racing pools agree on sub-unit identity through the
 shards' content hashes, and the merged cell record is byte-identical to
 the inline definition whatever fan-out anyone picked.
 
@@ -57,8 +57,7 @@ Usage::
 
     cell = UnitSpec(..., kind="broadcast-cell",
                     params=freeze_params(sources_count=40, ...))
-    k = planned_shards(cell, requested="auto", cost_model=model,
-                       workers=8)
+    k = planned_shards(cell, requested="auto", workers=8)
     for shard in shard_specs(cell, k):
         ...
 """
@@ -255,13 +254,12 @@ def shard_specs(parent: UnitSpec, shards: Optional[int] = None) -> List[UnitSpec
     """The parent's shard units, in shard order (pure function).
 
     For a **traffic** parent the fan-out is the parent's own hashed
-    ``shards`` parameter (it is protocol; ``shards`` may override it
-    only for cost-model probing).  Each shard spec replaces the
-    parent's ``shards``/``num_batches`` parameters with its own slice
-    (``shard`` index, slice-sized ``num_batches``); everything else —
-    algorithm, dims, load, seed, batch size, caps — is inherited, so
-    the shard's content hash is derived from exactly what determines
-    its result.
+    ``shards`` parameter (it is protocol) unless ``shards`` overrides
+    it.  Each shard spec replaces the parent's ``shards``/``num_batches``
+    parameters with its own slice (``shard`` index, slice-sized
+    ``num_batches``); everything else — algorithm, dims, load, seed,
+    batch size, caps — is inherited, so the shard's content hash is
+    derived from exactly what determines its result.
 
     For a **broadcast cell** the fan-out is *not* in the spec (it
     cannot change the result) and must be passed as ``shards``; each
@@ -292,7 +290,6 @@ def planned_shards(
     spec: UnitSpec,
     requested: int | str = 1,
     *,
-    cost_model: Optional[Any] = None,
     workers: Optional[int] = None,
 ) -> int:
     """The fan-out the pool should expand ``spec`` into (1 = run whole).
@@ -301,10 +298,9 @@ def planned_shards(
     parameter *is* the protocol and the request is ignored (``auto``
     was resolved when the grid was declared).  Broadcast cells resolve
     the request at dispatch time: an integer is honoured up to the
-    cell's replication count; ``"auto"`` asks
-    :func:`repro.campaigns.costmodel.auto_shard_count` to invert the
-    fitted per-shard cost term, capped by ``workers`` and the minimum
-    per-shard budget.
+    cell's replication count; ``"auto"`` fans out to one shard per
+    worker, capped by the replication count (``min(workers,
+    sources)``; every source when ``workers`` is not given).
     """
     if spec.kind == "traffic":
         return unit_shards(spec)
@@ -312,9 +308,7 @@ def planned_shards(
         return 1
     sources = cell_sources(spec)
     if requested == "auto":
-        from repro.campaigns.costmodel import auto_shard_count
-
-        return auto_shard_count(spec, cost_model, workers=workers)
+        return sources if workers is None else min(max(workers, 1), sources)
     count = int(requested)
     if count < 1:
         raise ValueError(f"shards must be >= 1 or 'auto', got {requested!r}")
@@ -451,8 +445,8 @@ def merge_shard_records(
     """Wrap :func:`merge_shard_results` as the parent's stored record.
 
     ``elapsed_s`` is the sum of the shards' measured times — the
-    parent's total simulation cost, which keeps ``fit-cost`` honest
-    about what a sharded point costs end to end.
+    parent's total simulation cost, so ``campaign status`` reports
+    what a sharded point costs end to end.
     """
     result = merge_shard_results(parent, [r.result for r in records])
     return UnitRecord(

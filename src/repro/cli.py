@@ -18,8 +18,8 @@ skips every already-completed unit)::
 shard the heavy units themselves (traffic points fan out into K
 independent, mergeable replications; broadcast cells slice their
 source axis — so even a single slow unit spreads over the worker
-fleet, and ``auto`` lets the fitted cost model pick each unit's
-fan-out; status reports per-unit shard progress)::
+fleet, and ``auto`` gives each broadcast cell one shard per worker;
+status reports per-unit shard progress)::
 
     repro campaign run fig4 --scale full --shards 8 --workers 8
     repro campaign status fig4 --scale full --shards 8
@@ -136,8 +136,9 @@ def _add_experiment_options(
             "split each heavy unit into K mergeable sub-units so workers"
             " can parallelise inside it: traffic points (fig3/fig4) run K"
             " independent replications, broadcast cells slice their"
-            " source axis; 'auto' picks per-unit fan-outs from the fitted"
-            " cost model; 1 = the original per-unit protocol"
+            " source axis; 'auto' gives each broadcast cell one shard per"
+            " worker and leaves traffic points whole; 1 = the original"
+            " per-unit protocol"
         ),
     )
     parser.add_argument(
@@ -281,10 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ("status", "show completed/pending unit counts"),
         ("aggregate", "rebuild result rows from a (complete) store"),
         (
-            "fit-cost",
-            "fit the cost model that orders pooled runs from stored timings",
-        ),
-        (
             "trace",
             "merge a traced run's span spools and export Perfetto JSON",
         ),
@@ -335,17 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 default=None,
                 metavar="FILE",
                 help="also save the aggregated rows to FILE (.json or .csv)",
-            )
-        if action == "fit-cost":
-            cp.add_argument(
-                "--out",
-                default=None,
-                metavar="FILE",
-                help=(
-                    "where to write the fitted model (default:"
-                    " campaigns/cost_model.json, which runs with"
-                    " --workers > 1 pick up automatically)"
-                ),
             )
         if action == "trace":
             cp.add_argument(
@@ -838,48 +824,6 @@ def _campaign_status(status: dict) -> str:
     return "\n".join(lines)
 
 
-def _fit_cost_stores(args, spec) -> List[CampaignStore]:
-    """Stores to harvest timings from for ``campaign fit-cost``.
-
-    An explicit ``--store`` wins; otherwise every default-layout store
-    of the experiment/seed across all scales and backends contributes —
-    the fit only gets better with more measured units.
-    """
-    if args.store or args.store_backend:
-        return [_campaign_store(args, spec)]
-    return _default_layout_stores(args, SCALES, sorted(BACKENDS))
-
-
-def _cmd_fit_cost(args, spec) -> int:
-    from repro.campaigns.costmodel import (
-        DEFAULT_COST_MODEL_PATH,
-        fit_cost_model,
-        records_from_stores,
-    )
-
-    stores = _fit_cost_stores(args, spec)
-    records = records_from_stores(stores)
-    if not stores:
-        print(
-            f"campaign fit-cost: no stores found for {args.experiment}"
-            f" (seed {args.seed}); run a campaign first"
-        )
-        return 1
-    try:
-        model = fit_cost_model(records)
-    except ValueError as exc:
-        print(f"campaign fit-cost: {exc}")
-        return 1
-    out = Path(args.out) if args.out else DEFAULT_COST_MODEL_PATH
-    model.save(out)
-    print(model.describe())
-    print(
-        f"model written to {out} — runs with --workers > 1 use it"
-        f" automatically ({len(stores)} store(s), {len(records)} records)"
-    )
-    return 0
-
-
 def _cmd_campaign_trace(args, spec) -> int:
     """Merge a traced campaign's spool files and export Perfetto JSON."""
     store = _campaign_store(args, spec)
@@ -1042,8 +986,6 @@ def _cmd_campaign(args) -> int:
     spec = campaign_for(
         args.experiment, args.scale, args.seed, shards=args.shards
     )
-    if args.campaign_command == "fit-cost":
-        return _cmd_fit_cost(args, spec)
     if args.campaign_command == "trace":
         return _cmd_campaign_trace(args, spec)
     if args.campaign_command == "status":

@@ -13,7 +13,6 @@ backends, scheduling policy and cache stores through
 from __future__ import annotations
 
 import warnings
-from dataclasses import replace
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.campaigns.aggregate import aggregate, failed_records
@@ -240,12 +239,10 @@ def traffic_units(
     measurement protocol (a different, statistically equivalent
     realisation of the point), which is why it belongs in the hashed
     parameters — and why ``shards="auto"`` resolves **here, at
-    declaration time**, as a pure function of the spec and the fitted
-    cost model on disk (never of worker counts): every pool, and every
-    later ``status``/``aggregate`` invocation, reconstructs the same
-    per-point fan-out and therefore the same unit hashes.  Without a
-    fitted model, ``auto`` conservatively leaves traffic points
-    unsharded (see :func:`repro.campaigns.costmodel.auto_shard_count`).
+    declaration time**, to the unsharded protocol: a pure function of
+    the command line (never of worker counts or files on disk), so
+    every pool, and every later ``status``/``aggregate`` invocation,
+    reconstructs the same unit hashes.
     """
     scale = resolve_scale(scale)
     auto = shards == "auto"
@@ -260,44 +257,29 @@ def traffic_units(
                 f" {scale.num_batches - scale.discard}"
                 f" batches; use --shards <= that (got {shards})"
             )
-    cost_model = None
-    if auto:
-        from repro.campaigns.costmodel import load_default_cost_model
-
-        cost_model = load_default_cost_model()
     loads = list(loads)
     units: List[UnitSpec] = []
     for algorithm in algorithms:
         for load in loads:
-            unit = UnitSpec(
-                experiment=experiment,
-                kind="traffic",
-                algorithm=algorithm,
-                dims=tuple(dims),
-                length_flits=length_flits,
-                seed=seed,
-                load=float(load),
-                params=freeze_params(
-                    broadcast_fraction=broadcast_fraction,
-                    batch_size=scale.batch_size,
-                    num_batches=scale.num_batches,
-                    discard=scale.discard,
-                    max_sim_time_us=scale.max_sim_time_us,
-                    shards=None if auto or shards == 1 else shards,
-                ),
+            units.append(
+                UnitSpec(
+                    experiment=experiment,
+                    kind="traffic",
+                    algorithm=algorithm,
+                    dims=tuple(dims),
+                    length_flits=length_flits,
+                    seed=seed,
+                    load=float(load),
+                    params=freeze_params(
+                        broadcast_fraction=broadcast_fraction,
+                        batch_size=scale.batch_size,
+                        num_batches=scale.num_batches,
+                        discard=scale.discard,
+                        max_sim_time_us=scale.max_sim_time_us,
+                        shards=None if auto or shards == 1 else shards,
+                    ),
+                )
             )
-            if auto:
-                from repro.campaigns.costmodel import auto_shard_count
-
-                point_shards = auto_shard_count(unit, cost_model)
-                if point_shards > 1:
-                    unit = replace(
-                        unit,
-                        params=freeze_params(
-                            **dict(unit.params), shards=point_shards
-                        ),
-                    )
-            units.append(unit)
     return units
 
 

@@ -42,8 +42,8 @@ CampaignBuilder = Callable[..., CampaignSpec]
 
 #: Experiment id → campaign builder (scale, seed, shards=1) ->
 #: CampaignSpec.  ``shards`` (an int or ``"auto"``) reaches every
-#: grid: traffic points embed it as protocol (``auto`` resolves from
-#: the fitted cost model at declaration), broadcast grids switch to
+#: grid: traffic points embed it as protocol (``auto`` declares them
+#: unsharded), broadcast grids switch to
 #: sliceable cell-level units whose actual fan-out the pool picks at
 #: dispatch time.
 CAMPAIGNS: Dict[str, CampaignBuilder] = {
@@ -118,8 +118,8 @@ def campaign_for(
     """Declare (without running) an experiment's campaign.
 
     ``shards`` splits each heavy traffic point into that many
-    mergeable sub-units (``"auto"`` resolves per point from the fitted
-    cost model) and declares broadcast grids as sliceable cell-level
+    mergeable sub-units (``"auto"`` leaves them whole) and declares
+    broadcast grids as sliceable cell-level
     units; ``1`` is the original per-replication protocol everywhere.
     """
     experiment_id = experiment_id.lower()

@@ -69,10 +69,9 @@ def traffic_campaign(
     ``shards=K`` declares every load point as K mergeable sub-unit
     replications (see :mod:`repro.campaigns.shards`), letting a worker
     fleet parallelise *inside* the heavy points instead of waiting on
-    the slowest one.  ``shards="auto"`` picks each point's fan-out
-    from the fitted cost model at declaration time (the shard count is
-    measurement protocol, so it must be pinned before hashing; see
-    :func:`repro.experiments.common.traffic_units`).
+    the slowest one.  ``shards="auto"`` leaves every point unsharded
+    (the shard count is measurement protocol, so it must be pinned
+    before hashing; see :func:`repro.experiments.common.traffic_units`).
     """
     figure = figure.lower()
     if figure == "fig3":

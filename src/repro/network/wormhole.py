@@ -119,8 +119,12 @@ class PathTransmission:
         The worm; ``message.destinations`` must lie on the route.
     batch_hops:
         Batch the header walk over consecutive free channels (default).
-        The batched and per-hop walks are event-for-event identical —
-        the flag exists for the determinism tests that prove it.
+        The batched and per-hop walks give every node the same arrival
+        time and every channel the same utilisation and grant count,
+        but same-time hooks (deliveries, walk ends) may fire in a
+        different order: a resumed batched walk claims its next channel
+        without the grant event the per-hop walk waits for.  The flag
+        exists for the determinism tests.
     """
 
     def __init__(

@@ -26,11 +26,6 @@ from repro.campaigns import (
     register_unit_runner,
     run_campaign,
 )
-from repro.campaigns.costmodel import (
-    FEATURE_NAMES,
-    CostModel,
-    cost_features,
-)
 from repro.campaigns.units import (
     BROADCAST_ENGINE_ENV,
     ENGINES,
@@ -583,62 +578,6 @@ def test_pool_workers_take_engine_from_environment(monkeypatch):
         CampaignSpec(name="engine-probe", seed=0, units=units), workers=2
     )
     assert [r.result["engine"] for r in records] == ["event"] * 4
-
-
-# ----------------------------------------------------------- cost model
-def test_cost_features_engine_indicator():
-    assert FEATURE_NAMES[-1] == "engine_batched"
-    spec = cell_spec()
-    set_broadcast_engine("event")
-    assert cost_features(spec)[-1] == 0.0
-    set_broadcast_engine("batched")
-    assert cost_features(spec)[-1] == 1.0
-    ab = cell_spec(algorithm="AB")
-    assert cost_features(ab)[-1] == 1.0
-    traffic = UnitSpec(
-        experiment="fig3",
-        kind="traffic",
-        algorithm="DB",
-        dims=(4, 4),
-        length_flits=128,
-        seed=0,
-        load=1.0,
-        params=freeze_params(batch_size=5, num_batches=3),
-    )
-    assert cost_features(traffic)[-1] == 0.0
-
-
-def test_cost_features_default_engine_tracks_process_knob(monkeypatch):
-    spec = cell_spec()
-    assert cost_features(spec)[-1] == 1.0  # the batched default
-    monkeypatch.setenv(BROADCAST_ENGINE_ENV, "event")
-    assert cost_features(spec)[-1] == 0.0
-
-
-def test_legacy_cost_model_weights_still_predict():
-    # A model fitted before the engine feature was appended has one
-    # weight fewer; zip truncation treats the missing weight as zero,
-    # so predictions are unchanged rather than erroring.
-    legacy = CostModel(
-        weights=(0.1,) * (len(FEATURE_NAMES) - 1), samples=10, r_squared=0.9
-    )
-    full = CostModel(
-        weights=(0.1,) * (len(FEATURE_NAMES) - 1) + (0.0,),
-        samples=10,
-        r_squared=0.9,
-    )
-    spec = cell_spec()
-    assert legacy.predict(spec) == full.predict(spec)
-
-
-def test_legacy_cost_model_file_rejected_with_clear_error():
-    with pytest.raises(ValueError):
-        CostModel.from_dict(
-            {
-                "features": list(FEATURE_NAMES[:-1]),
-                "weights": [0.1] * (len(FEATURE_NAMES) - 1),
-            }
-        )
 
 
 # ------------------------------------------------------------ end to end

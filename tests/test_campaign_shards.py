@@ -14,6 +14,7 @@ The contract under test (see `repro/campaigns/shards.py`):
   shorter than the unit.
 """
 
+import json
 import threading
 import time
 
@@ -293,6 +294,8 @@ def test_planned_shards_resolution():
     assert planned_shards(cell, requested=1) == 1
     assert planned_shards(cell, requested="auto", workers=4) == 4
     assert planned_shards(cell, requested="auto", workers=1) == 1
+    assert planned_shards(cell, requested="auto", workers=8) == 5
+    assert planned_shards(cell, requested="auto") == 5  # no worker cap
     # traffic parents are self-describing; the request is ignored
     parent = traffic_parent(shards=4)
     assert planned_shards(parent, requested=2) == 4
@@ -338,11 +341,10 @@ def _fig1_rows(shards, workers, store=None):
     )
 
 
-def test_quick_fig1_rows_sharded_vs_serial_golden_diff(tmp_path, monkeypatch):
+def test_quick_fig1_rows_sharded_vs_serial_golden_diff():
     """The acceptance diff: quick-scale fig1 rows at --shards 4
     --workers 4 and at --shards auto, byte-identical to the serial
     unsharded run."""
-    monkeypatch.chdir(tmp_path)  # no ambient campaigns/cost_model.json
     serial = _fig1_rows(shards=1, workers=1)
     sharded = _fig1_rows(shards=4, workers=4)
     auto = _fig1_rows(shards="auto", workers=2)
@@ -351,12 +353,10 @@ def test_quick_fig1_rows_sharded_vs_serial_golden_diff(tmp_path, monkeypatch):
     assert all(row.samples == 5 for row in serial)
 
 
-def test_quick_fig2_rows_sharded_vs_serial_golden_diff(monkeypatch, tmp_path):
+def test_quick_fig2_rows_sharded_vs_serial_golden_diff():
     """Same diff for a barrier-twin grid (fig2): each source's
     event-driven run and its barrier twin shard as a pair."""
     from repro.experiments.common import broadcast_units, campaign, run_units
-
-    monkeypatch.chdir(tmp_path)
 
     def rows(shards, workers):
         units = broadcast_units(
@@ -389,32 +389,30 @@ def test_two_pools_share_one_broadcast_cell(tmp_path):
 
 
 def test_traffic_auto_resolves_at_declaration(tmp_path, monkeypatch):
-    """Traffic `auto` is protocol, so it pins per-point shard counts
-    into the hashed params when the grid is declared — identically on
-    every redeclaration — and stays unsharded without model evidence."""
-    import math
-
-    from repro.campaigns.costmodel import CostModel
-
+    """Traffic `auto` is protocol, so it resolves when the grid is
+    declared — to unsharded points, from the command line alone: a
+    model file in the working directory changes no unit hash."""
+    kwargs = dict(scale="smoke", shards="auto", loads=[1.0, 4.0],
+                  algorithms=["DB", "AB"])
     monkeypatch.chdir(tmp_path)
-    kwargs = dict(scale="smoke", shards="auto", loads=[1.0],
-                  algorithms=["DB"])
-    [plain] = traffic_campaign("fig3", **kwargs).units
-    assert unit_shards(plain) == 1  # no fitted model, no protocol change
+    plain = traffic_campaign("fig3", **kwargs)
 
-    # A model predicting 5 s per observation makes every shard worth
-    # its budget; smoke retains 2 batches, so auto caps at 2.
-    CostModel(
-        weights=(math.log(5.0), 0.0, 0.0, 0.0, 1.0, 0.0, 0.0),
-        samples=8,
-        r_squared=1.0,
-    ).save()
-    spec = traffic_campaign("fig3", **kwargs)
-    [parent] = spec.units
-    assert unit_shards(parent) == 2
-    # status/aggregate redeclare the grid later: identical hashes.
-    assert traffic_campaign("fig3", **kwargs).unit_hashes() == (
-        spec.unit_hashes()
+    model = tmp_path / "campaigns" / "cost_model.json"
+    model.parent.mkdir()
+    model.write_text(json.dumps({
+        "schema": 1,
+        "features": ["intercept", "log_nodes", "log_length_flits",
+                     "log_load", "log_batch_budget", "barrier", "shard",
+                     "engine_batched"],
+        "weights": [1.6, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+        "samples": 8,
+        "r_squared": 1.0,
+    }))
+    planted = traffic_campaign("fig3", **kwargs)
+    assert planted.unit_hashes() == plain.unit_hashes()
+    assert all(unit_shards(unit) == 1 for unit in planted.units)
+    assert planted.unit_hashes() == (
+        traffic_campaign("fig3", **dict(kwargs, shards=1)).unit_hashes()
     )
 
 

@@ -16,6 +16,7 @@ import gc
 import json
 import os
 import pickle
+import subprocess
 import sys
 import threading
 import time
@@ -417,32 +418,76 @@ def test_order_units_fifo_and_unknown():
         run_campaign(small_campaign(), schedule="lifo")
 
 
-def test_cost_estimate_reflects_load_length_and_barrier():
-    base = UnitSpec(
-        experiment="x", kind="broadcast", algorithm="DB",
-        dims=(8, 8, 8), length_flits=100, seed=0,
-    )
-    assert estimate_unit_cost(base) < estimate_unit_cost(
-        UnitSpec(
-            experiment="x", kind="broadcast", algorithm="DB",
-            dims=(16, 16, 8), length_flits=100, seed=0,
+def test_cost_estimate_ranks_algorithms_by_worm_count():
+    """RD and EDN launch N-1 worms per broadcast, DB a few hundred and
+    AB a few dozen on 16x16x8: the estimate ranks them that way for a
+    broadcast cell and a traffic point alike."""
+    def cost(kind, algorithm, **params):
+        spec = UnitSpec(
+            experiment="x", kind=kind, algorithm=algorithm,
+            dims=(16, 16, 8), length_flits=32, seed=0,
+            load=4.0 if kind == "traffic" else None,
+            params=freeze_params(**params),
         )
+        return estimate_unit_cost(spec)
+
+    for kind, params in (
+        ("broadcast-cell", dict(sources_count=10)),
+        ("traffic", dict(broadcast_fraction=0.1, batch_size=25,
+                         num_batches=21)),
+    ):
+        rd, edn, db, ab = (
+            cost(kind, a, **params) for a in ("RD", "EDN", "DB", "AB")
+        )
+        assert min(rd, edn) > db > ab, kind
+    assert cost("broadcast-cell", "DB", sources_count=10, barrier=True) == (
+        2 * cost("broadcast-cell", "DB", sources_count=10)
     )
-    barrier = UnitSpec(
-        experiment="x", kind="broadcast", algorithm="DB",
-        dims=(8, 8, 8), length_flits=100, seed=0,
-        params=freeze_params(barrier=True),
+
+
+def test_cost_estimate_is_identical_across_interpreters():
+    code = (
+        "from repro.campaigns import UnitSpec, freeze_params\n"
+        "from repro.campaigns.pool import estimate_unit_cost\n"
+        "for a in ('RD', 'EDN', 'DB', 'AB'):\n"
+        "    print(repr(estimate_unit_cost(UnitSpec(\n"
+        "        experiment='x', kind='traffic', algorithm=a,\n"
+        "        dims=(8, 8, 4), length_flits=32, seed=0, load=2.0,\n"
+        "        params=freeze_params(broadcast_fraction=0.1)))))\n"
     )
-    assert estimate_unit_cost(barrier) == 2 * estimate_unit_cost(base)
-    low = UnitSpec(
-        experiment="x", kind="traffic", algorithm="DB",
-        dims=(8, 8, 8), length_flits=32, seed=0, load=2.0,
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED="random",
+        PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        ),
     )
-    high = UnitSpec(
-        experiment="x", kind="traffic", algorithm="DB",
-        dims=(8, 8, 8), length_flits=32, seed=0, load=8.0,
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        ).stdout
+        for _ in range(2)
+    ]
+    assert runs[0] == runs[1]
+    assert len(runs[0].split()) == 4
+
+
+def test_pooled_run_records_unbuildable_broadcasts_as_failures():
+    units = tuple(
+        UnitSpec(
+            experiment="x", kind="broadcast", algorithm=algorithm,
+            dims=dims, length_flits=16, seed=0,
+        )
+        for algorithm, dims in (("NOPE", (4, 4, 4)), ("AB", (8,)),
+                                ("DB", (4, 4, 4)))
     )
-    assert estimate_unit_cost(high) == 4 * estimate_unit_cost(low)
+    records = run_campaign(
+        CampaignSpec(name="unbuildable", seed=0, units=units),
+        workers=2, retries=0,
+    )
+    assert [r.status for r in records] == ["failed", "failed", "ok"]
 
 
 def test_schedules_produce_identical_records():

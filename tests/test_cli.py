@@ -103,7 +103,7 @@ def test_cli_rejects_removed_dispatch_flags(argv, capsys):
 def test_cli_help_lists_no_engine_or_schedule(capsys):
     from repro.experiments.runner import EXPERIMENTS
 
-    actions = ("run", "status", "aggregate", "fit-cost", "trace", "retry-failed")
+    actions = ("run", "status", "aggregate", "trace", "retry-failed")
     commands = [[name] for name in EXPERIMENTS]
     commands += [["campaign", action] for action in actions]
     for command in commands:
