@@ -31,6 +31,17 @@ queues there and the sweep models that FIFO handover exactly (see
 :mod:`repro.sim.batch`), so all four algorithms batch every Fig. 1
 source.
 
+RD and EDN are made only of dimension-ordered unicasts
+(:class:`~repro.core.base.UnicastBroadcast`): they plan straight from
+their integer unicast table through
+:func:`~repro.sim.batch.plan_unicasts`, and build no
+:class:`~repro.core.schedule.PathSend` or
+:class:`~repro.routing.paths.Path` unless a source falls back — its
+object schedule is built then, for the event engine alone.  DB and AB
+(coded paths, waypoints) plan from ``schedule()`` through
+:func:`~repro.sim.batch.plan_broadcast`, which stays the oracle the
+table path is tested against.
+
 Duplicate sources — common under the paper's uniform random draw —
 are planned and swept once and share their outcome; the event engine
 would recompute identical floats for each copy.
@@ -41,12 +52,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.adaptive_broadcast import AdaptiveBroadcast
+from repro.core.base import UnicastBroadcast
 from repro.core.executors import BroadcastOutcome, EventDrivenExecutor
 from repro.core.registry import get_algorithm
 from repro.core.schedule import BroadcastSchedule
 from repro.network.network import NetworkConfig, NetworkSimulator
 from repro.network.topology import Mesh
-from repro.sim.batch import plan_broadcast, sweep_broadcasts
+from repro.sim.batch import plan_broadcast, plan_unicasts, sweep_broadcasts
 
 __all__ = ["run_batch_broadcasts"]
 
@@ -108,7 +120,7 @@ def run_batch_broadcasts(
         algorithm = cls(mesh, max_destinations_per_path=max_destinations_per_path)
     else:
         algorithm = cls(mesh)
-    ports = ports_override or algorithm.ports_required
+    ports = algorithm.ports_required if ports_override is None else ports_override
     config = NetworkConfig(
         startup_latency=startup_latency, flit_time=0.003, ports_per_node=ports
     )
@@ -135,13 +147,22 @@ def run_batch_broadcasts(
 
     if not faults:
         coords = list(mesh.nodes())
-        node_index = {coord: i for i, coord in enumerate(coords)}
-        n_nodes = len(node_index)
+        unicasts = isinstance(algorithm, UnicastBroadcast)
+        if not unicasts:
+            node_index = {coord: i for i, coord in enumerate(coords)}
         plans = []
         plan_source = []
         for idx, source in enumerate(order):
-            schedules[idx] = algorithm.schedule(source)
-            plan = plan_broadcast(schedules[idx], node_index, n_nodes, routing)
+            if unicasts:
+                plan = plan_unicasts(
+                    algorithm.name, source, mesh.dims,
+                    algorithm.unicast_table(source), algorithm.step_count(),
+                )
+            else:
+                schedules[idx] = algorithm.schedule(source)
+                plan = plan_broadcast(
+                    schedules[idx], node_index, len(coords), routing
+                )
             if plan is not None:
                 plans.append(plan)
                 plan_source.append(idx)

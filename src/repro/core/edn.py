@@ -23,36 +23,94 @@ paper's EDN "requires that the number of nodes along a given dimension
 be a multiple of 4") are handled by uneven quadrant splits — e.g. the
 10×10×10 point of Fig. 1 — with step counts from the same recursions.
 
-All sends are unicast worms on dimension-ordered routes.
+All sends are unicast worms on dimension-ordered routes.  Phase B's
+lines and phase C's blocks repeat one recursion over many holders, so
+each recursion runs once per shape and holder position
+(:func:`~repro.core.recursive_doubling.line_levels`,
+:func:`quadrant_levels`) and a step's sends are its holders shifted by
+the recursion's offsets.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from functools import lru_cache
+from typing import Dict, List, Tuple
 
-from repro.core.base import BroadcastAlgorithm
-from repro.core.schedule import BroadcastSchedule, BroadcastStep, PathSend
-from repro.network.coordinates import Coordinate
-from repro.network.message import ControlField
+import numpy as np
+
+from repro.core.base import UnicastBroadcast, UnicastTable
+from repro.core.recursive_doubling import line_levels
+from repro.network.coordinates import Coordinate, row_major_strides
 from repro.network.topology import Mesh
-from repro.routing.cpr import straight_line_path
-from repro.routing.dimension_ordered import DimensionOrdered
-from repro.routing.paths import Path
 
-__all__ = ["ExtendedDominatingNodes"]
+__all__ = ["ExtendedDominatingNodes", "quadrant_levels"]
 
 #: Edge length of the basic dominated block.
 BLOCK = 4
 
 Rect = Tuple[int, int, int, int]  # x0, y0, width, height (in block units or cells)
+XY = Tuple[int, int]
 
 
 def _clog2(n: int) -> int:
     return math.ceil(math.log2(n)) if n > 1 else 0
 
 
-class ExtendedDominatingNodes(BroadcastAlgorithm):
+@lru_cache(maxsize=None)
+def quadrant_levels(
+    w: int, h: int, hx: int, hy: int
+) -> Tuple[Tuple[Tuple[Tuple[XY, XY], ...], ...], Tuple[XY, ...]]:
+    """Quadrant recursion over a ``w × h`` grid held at ``(hx, hy)``.
+
+    A rectangle splits into up to four quadrants, ``⌈w/2⌉`` then
+    ``⌊w/2⌋`` wide and ``⌈h/2⌉`` then ``⌊h/2⌋`` high; its holder sends to
+    its own relative position in every other quadrant (clipped into
+    it), each such quadrant recurses from its new holder, and the
+    holder's own quadrant recurses last.
+
+    Returns ``(levels, reached)``: ``levels[l]`` is the ``(from, to)``
+    grid positions of the sends at recursion depth ``l``, in depth-first
+    order, and ``reached`` lists the positions in the order the
+    recursion hands them a copy.  Results are cached.
+    """
+    levels: List[List[Tuple[XY, XY]]] = [[] for _ in range(_clog2(max(w, h)))]
+    reached: List[XY] = []
+    _split((0, 0, w, h), (hx, hy), 0, levels, reached)
+    return tuple(map(tuple, levels)), tuple(reached)
+
+
+def _split(rect: Rect, holder: XY, level: int, levels, reached) -> None:
+    """One rectangle of :func:`quadrant_levels`' recursion."""
+    x0, y0, w, h = rect
+    if w <= 1 and h <= 1:
+        return
+    wx = (w + 1) // 2
+    wy = (h + 1) // 2
+    quads = [
+        (qx0, qy0, qw, qh)
+        for qx0, qw in ((x0, wx), (x0 + wx, w - wx))
+        for qy0, qh in ((y0, wy), (y0 + wy, h - wy))
+        if qw > 0 and qh > 0
+    ]
+    hx, hy = holder
+    own = next(
+        q for q in quads if q[0] <= hx < q[0] + q[2] and q[1] <= hy < q[1] + q[3]
+    )
+    for q in quads:
+        if q is own:
+            continue
+        target = (
+            min(q[0] + (hx - own[0]), q[0] + q[2] - 1),
+            min(q[1] + (hy - own[1]), q[1] + q[3] - 1),
+        )
+        levels[level].append((holder, target))
+        reached.append(target)
+        _split(q, target, level + 1, levels, reached)
+    _split(own, holder, level + 1, levels, reached)
+
+
+class ExtendedDominatingNodes(UnicastBroadcast):
     """EDN broadcast on a 2-D or 3-D mesh.
 
     Examples
@@ -72,7 +130,6 @@ class ExtendedDominatingNodes(BroadcastAlgorithm):
         mesh = self._require_mesh(min_dims=2)
         if mesh.ndim not in (2, 3):
             raise ValueError(f"EDN supports 2-D/3-D meshes, got {mesh.ndim}-D")
-        self._dor = DimensionOrdered(mesh)
         kx, ky = mesh.dims[0], mesh.dims[1]
         self._kz = mesh.dims[2] if mesh.ndim == 3 else 1
         self._bx = math.ceil(kx / BLOCK)
@@ -115,9 +172,6 @@ class ExtendedDominatingNodes(BroadcastAlgorithm):
         return (kx // 4).bit_length() - 1, (kz // 4).bit_length() - 1
 
     # -- geometry helpers ----------------------------------------------------
-    def _block_of(self, coord: Coordinate) -> Tuple[int, int]:
-        return coord[0] // BLOCK, coord[1] // BLOCK
-
     def _block_cells(self, bx: int, by: int) -> Rect:
         """Cell rectangle (x0, y0, w, h) of block ``(bx, by)``."""
         mesh: Mesh = self.topology
@@ -126,146 +180,96 @@ class ExtendedDominatingNodes(BroadcastAlgorithm):
         h = min(BLOCK, mesh.dims[1] - y0)
         return (x0, y0, w, h)
 
-    def _rep(self, bx: int, by: int, z: int) -> Coordinate:
-        """The dominating (representative) node of a block in plane z."""
-        x0, y0, w, h = self._block_cells(bx, by)
-        rep2d = (x0 + (w - 1) // 2, y0 + (h - 1) // 2)
-        return self._with_z(rep2d, z)
-
-    def _with_z(self, xy: Tuple[int, int], z: int) -> Coordinate:
-        if self.topology.ndim == 2:
-            return xy
-        return (xy[0], xy[1], z)
-
-    def _unicast(self, src: Coordinate, dst: Coordinate) -> PathSend:
-        nodes = self._dor.path(src, dst)
-        return PathSend(
-            source=src,
-            deliveries=frozenset({dst}),
-            path=Path(nodes, deliveries=[dst]),
-            control=ControlField.RECEIVE,
-        )
-
     # -- schedule construction --------------------------------------------------
-    def build_schedule(self, source: Coordinate) -> BroadcastSchedule:
-        a_steps, b_steps, c_steps = self.phase_steps()
-        total = a_steps + b_steps + c_steps
-        level_sends: List[List[PathSend]] = [[] for _ in range(total)]
-        sz = source[2] if self.topology.ndim == 3 else 0
+    def _unicast_steps(self, source: Coordinate) -> UnicastTable:
+        """Phases A, B and C in order, one step per recursion depth.
 
-        # Phase A: quadrant recursion over the block grid in the source plane.
-        # holders: block -> node holding the copy for that block.
-        holders = {self._block_of(source): source}
-        self._split_rect(
-            rect=(0, 0, self._bx, self._by),
-            holder_block=self._block_of(source),
-            holders=holders,
-            z=sz,
-            level=0,
-            out=level_sends,
-            rep_fn=lambda bx, by: self._rep(bx, by, sz),
+        Every block's dominating (representative) node sits at the
+        centre of its cells, rounded down.  Phase A runs the quadrant
+        recursion over the block grid of the source plane, from the
+        source's block; the holder of the source's block is the source
+        itself, every other block's is its representative.  Phase B
+        doubles each block's holder along z, blocks in the order phase A
+        reached them; every new holder is a representative.  Phase C
+        runs the quadrant recursion over the cells of every
+        ``(block, plane)`` holder, blocks in phase-A order and planes in
+        the order phase B reached them.
+        """
+        _, _, c_steps = self.phase_steps()
+        strides = row_major_strides(self.topology.dims)
+        sx, sy = strides[0], strides[1]
+        sz, z0 = (strides[2], source[2]) if len(strides) == 3 else (0, 0)
+        source_idx = sum(c * s for c, s in zip(source, strides))
+        steps: UnicastTable = []
+
+        # Phase A: one quadrant recursion over the blocks.
+        src_block = (source[0] // BLOCK, source[1] // BLOCK)
+        levels, reached = quadrant_levels(self._bx, self._by, *src_block)
+        blocks = [src_block, *reached]
+        cells = [self._block_cells(*block) for block in blocks]
+        rep = {
+            block: (x0 + (w - 1) // 2) * sx + (y0 + (h - 1) // 2) * sy
+            for block, (x0, y0, w, h) in zip(blocks, cells)
+        }
+        holder = {block: node + z0 * sz for block, node in rep.items()}
+        holder[src_block] = source_idx
+        for sends in levels:
+            steps.append((
+                np.asarray([holder[a] for a, _ in sends], dtype=np.int64),
+                np.asarray([holder[b] for _, b in sends], dtype=np.int64),
+            ))
+
+        # Phase B: every block's holder doubles along its z column.
+        column = (
+            np.asarray([rep[block] for block in blocks], dtype=np.int64)[:, None]
+            + np.arange(self._kz, dtype=np.int64) * sz
         )
+        column[0, z0] = source_idx
+        z_levels, z_reached = line_levels(self._kz, z0)
+        for frm, to in z_levels:
+            steps.append((column[:, frm].ravel(), column[:, to].ravel()))
 
-        # Phase B: recursive doubling along z from every block holder.
-        plane_holders = {}  # (block, z) -> node
-        for block, node in holders.items():
-            plane_holders[(block, sz)] = node
-            if self._kz > 1:
-                self._cover_z(
-                    block, node, 0, self._kz, a_steps, level_sends, plane_holders
-                )
-
-        # Phase C: quadrant recursion over the cells of each block, per plane.
-        for (block, z), node in plane_holders.items():
-            x0, y0, w, h = self._block_cells(*block)
-            cell_holders = {(node[0], node[1]): node}
-            self._split_cells(
-                rect=(x0, y0, w, h),
-                holder_xy=(node[0], node[1]),
-                holders=cell_holders,
-                z=z,
-                level=a_steps + b_steps,
-                out=level_sends,
+        # Phase C: every (block, plane) holder covers its block's cells.
+        # Holder ``rank * n_planes + plane`` keeps block-then-plane order;
+        # holders that run one recursion (block shape and holder offset)
+        # are shifted together, and each step is merged back into
+        # holder order.
+        planes = np.asarray((z0, *z_reached), dtype=np.int64) * sz
+        n_planes = planes.size
+        groups: Dict[Tuple[int, ...], List[Tuple[np.ndarray, np.ndarray]]] = {}
+        for rank, (x0, y0, w, h) in enumerate(cells):
+            ranks = rank * n_planes + np.arange(n_planes)
+            origins = x0 * sx + y0 * sy + planes
+            if rank == 0:  # the source holds its own block in its own plane
+                key = (w, h, source[0] - x0, source[1] - y0)
+                groups.setdefault(key, []).append((ranks[:1], origins[:1]))
+                ranks, origins = ranks[1:], origins[1:]
+            key = (w, h, (w - 1) // 2, (h - 1) // 2)
+            groups.setdefault(key, []).append((ranks, origins))
+        runs = [
+            (
+                quadrant_levels(*key)[0],
+                np.concatenate([r for r, _ in members])[:, None],
+                np.concatenate([o for _, o in members])[:, None],
             )
-
-        steps = [
-            BroadcastStep(index=i + 1, sends=sends)
-            for i, sends in enumerate(level_sends)
+            for key, members in groups.items()
         ]
-        return BroadcastSchedule(algorithm=self.name, source=source, steps=steps)
-
-    def _split_rect(self, rect, holder_block, holders, z, level, out, rep_fn) -> None:
-        """Quadrant recursion over a rectangle of *blocks*."""
-        x0, y0, w, h = rect
-        if w <= 1 and h <= 1:
-            return
-        wx = (w + 1) // 2
-        wy = (h + 1) // 2
-        quads = []
-        for qx0, qw in ((x0, wx), (x0 + wx, w - wx)):
-            for qy0, qh in ((y0, wy), (y0 + wy, h - wy)):
-                if qw > 0 and qh > 0:
-                    quads.append((qx0, qy0, qw, qh))
-        hx, hy = holder_block
-        own = next(
-            q for q in quads if q[0] <= hx < q[0] + q[2] and q[1] <= hy < q[1] + q[3]
-        )
-        holder_node = holders[holder_block]
-        for q in quads:
-            if q is own:
-                continue
-            # Target block: the holder's relative position clipped into q.
-            tbx = min(q[0] + (hx - own[0]), q[0] + q[2] - 1)
-            tby = min(q[1] + (hy - own[1]), q[1] + q[3] - 1)
-            target_node = rep_fn(tbx, tby)
-            out[level].append(self._unicast(holder_node, target_node))
-            holders[(tbx, tby)] = target_node
-            self._split_rect(q, (tbx, tby), holders, z, level + 1, out, rep_fn)
-        self._split_rect(own, holder_block, holders, z, level + 1, out, rep_fn)
-
-    def _cover_z(self, block, holder, lo, hi, level, out, plane_holders) -> None:
-        """Recursive doubling over planes ``[lo, hi)`` along z."""
-        n = hi - lo
-        if n <= 1:
-            return
-        half = (n + 1) // 2
-        z = holder[2]
-        if z < lo + half:
-            partner_z = min(z + half, hi - 1)
-        else:
-            partner_z = z - half
-        partner = self._rep(*block, partner_z)
-        out[level].append(self._unicast(holder, partner))
-        plane_holders[(block, partner_z)] = partner
-        left, right = (lo, lo + half), (lo + half, hi)
-        own_part, other_part = (left, right) if z < lo + half else (right, left)
-        self._cover_z(block, holder, own_part[0], own_part[1], level + 1, out, plane_holders)
-        self._cover_z(block, partner, other_part[0], other_part[1], level + 1, out, plane_holders)
-
-    def _split_cells(self, rect, holder_xy, holders, z, level, out) -> None:
-        """Quadrant recursion over the *cells* of one block in plane z."""
-        x0, y0, w, h = rect
-        if w <= 1 and h <= 1:
-            return
-        wx = (w + 1) // 2
-        wy = (h + 1) // 2
-        quads = []
-        for qx0, qw in ((x0, wx), (x0 + wx, w - wx)):
-            for qy0, qh in ((y0, wy), (y0 + wy, h - wy)):
-                if qw > 0 and qh > 0:
-                    quads.append((qx0, qy0, qw, qh))
-        hx, hy = holder_xy
-        own = next(
-            q for q in quads if q[0] <= hx < q[0] + q[2] and q[1] <= hy < q[1] + q[3]
-        )
-        holder_node = holders[holder_xy]
-        for q in quads:
-            if q is own:
-                continue
-            tx = min(q[0] + (hx - own[0]), q[0] + q[2] - 1)
-            ty = min(q[1] + (hy - own[1]), q[1] + q[3] - 1)
-            target = self._with_z((tx, ty), z)
-            out[level].append(self._unicast(holder_node, target))
-            holders[(tx, ty)] = target
-            self._split_cells(q, (tx, ty), holders, z, level + 1, out)
-        self._split_cells(own, holder_xy, holders, z, level + 1, out)
+        for level in range(c_steps):
+            order, senders, receivers = [], [], []
+            for cell_levels, ranks, origins in runs:
+                sends = cell_levels[level] if level < len(cell_levels) else ()
+                frm = np.asarray(
+                    [x * sx + y * sy for (x, y), _ in sends], dtype=np.int64
+                )
+                to = np.asarray(
+                    [x * sx + y * sy for _, (x, y) in sends], dtype=np.int64
+                )
+                order.append((ranks * BLOCK * BLOCK + np.arange(frm.size)).ravel())
+                senders.append((origins + frm).ravel())
+                receivers.append((origins + to).ravel())
+            by_holder = np.argsort(np.concatenate(order))
+            steps.append((
+                np.concatenate(senders)[by_holder],
+                np.concatenate(receivers)[by_holder],
+            ))
+        return steps

@@ -11,23 +11,82 @@ All sends are single-destination worms on dimension-ordered routes
 (each is in fact a straight line within one dimension).  RD needs only
 one injection port; the paper notes it cannot exploit multiport
 routers.
+
+Every holder of a dimension runs the same halving of the same line
+from the same position (the source's), so the recursion runs once per
+``(radix, position)`` (:func:`line_levels`) and each step's sends are
+the holders shifted by its pairs of positions.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List
+from functools import lru_cache
+from typing import List, Tuple
 
-from repro.core.base import BroadcastAlgorithm
-from repro.core.schedule import BroadcastSchedule, BroadcastStep, PathSend
-from repro.network.coordinates import Coordinate
-from repro.network.message import ControlField
-from repro.routing.paths import Path
+import numpy as np
 
-__all__ = ["RecursiveDoubling"]
+from repro.core.base import UnicastBroadcast, UnicastTable
+from repro.network.coordinates import Coordinate, row_major_strides
+
+__all__ = ["RecursiveDoubling", "line_levels"]
 
 
-class RecursiveDoubling(BroadcastAlgorithm):
+def _frozen(values) -> np.ndarray:
+    array = np.asarray(values, dtype=np.int64)
+    array.setflags(write=False)
+    return array
+
+
+@lru_cache(maxsize=None)
+def line_levels(
+    n: int, pos: int
+) -> Tuple[Tuple[Tuple[np.ndarray, np.ndarray], ...], Tuple[int, ...]]:
+    """Recursive halving of a line of ``n`` positions held at ``pos``.
+
+    A segment of ``size`` positions splits into a left part of
+    ``⌈size/2⌉`` and a right part of ``⌊size/2⌋``; its holder sends to its own
+    relative position in the opposite part — or, when the smaller right
+    part has no such position, to that part's last, so the part still
+    gains a holder — and both parts recurse.
+
+    Returns ``(levels, reached)``: ``levels[l]`` is the ``(from, to)``
+    position arrays of the sends at recursion depth ``l``, in
+    depth-first order, and ``reached`` lists the positions in the order
+    the recursion hands them a copy.  Results are cached and read-only.
+    """
+    levels: List[Tuple[List[int], List[int]]] = [
+        ([], []) for _ in range(math.ceil(math.log2(n)) if n > 1 else 0)
+    ]
+    reached: List[int] = []
+    _halve(pos, 0, n, 0, levels, reached)
+    return (
+        tuple((_frozen(frm), _frozen(to)) for frm, to in levels),
+        tuple(reached),
+    )
+
+
+def _halve(holder, lo, hi, level, levels, reached) -> None:
+    """One segment of :func:`line_levels`' recursion."""
+    size = hi - lo
+    if size <= 1:
+        return
+    half = (size + 1) // 2
+    left, right = (lo, lo + half), (lo + half, hi)
+    if holder < lo + half:
+        partner = min(holder + half, hi - 1)
+        own, other = left, right
+    else:
+        partner = holder - half
+        own, other = right, left
+    levels[level][0].append(holder)
+    levels[level][1].append(partner)
+    reached.append(partner)
+    _halve(holder, *own, level + 1, levels, reached)
+    _halve(partner, *other, level + 1, levels, reached)
+
+
+class RecursiveDoubling(UnicastBroadcast):
     """RD broadcast on an n-dimensional mesh.
 
     Examples
@@ -49,73 +108,29 @@ class RecursiveDoubling(BroadcastAlgorithm):
             math.ceil(math.log2(d)) for d in self.topology.dims if d > 1
         )
 
-    def build_schedule(self, source: Coordinate) -> BroadcastSchedule:
+    def _unicast_steps(self, source: Coordinate) -> UnicastTable:
+        """Dimensions in order; each step is one halving depth of a line.
+
+        Holders are kept holder-major, as the recursion visits them: a
+        step's sends are every holder's sends at that depth, holder by
+        holder, and after a dimension each holder is replaced by its
+        whole line.
+        """
         dims = self.topology.dims
-        steps: List[BroadcastStep] = []
-        holders: List[Coordinate] = [source]
-        step_index = 0
+        strides = row_major_strides(dims)
+        holders = np.asarray(
+            [sum(c * s for c, s in zip(source, strides))], dtype=np.int64
+        )
+        steps: UnicastTable = []
         for axis, radix in enumerate(dims):
             if radix == 1:
                 continue
-            levels = math.ceil(math.log2(radix))
-            level_sends: List[List[PathSend]] = [[] for _ in range(levels)]
-            for holder in holders:
-                self._cover_line(holder, axis, 0, radix, 0, level_sends)
-            for sends in level_sends:
-                step_index += 1
-                steps.append(BroadcastStep(index=step_index, sends=sends))
-            holders = [
-                h[:axis] + (v,) + h[axis + 1 :] for h in holders for v in range(radix)
-            ]
-        return BroadcastSchedule(algorithm=self.name, source=source, steps=steps)
-
-    def _cover_line(
-        self,
-        holder: Coordinate,
-        axis: int,
-        lo: int,
-        hi: int,
-        level: int,
-        out: List[List[PathSend]],
-    ) -> None:
-        """Recursive halving of positions ``[lo, hi)`` along ``axis``.
-
-        ``holder`` owns the segment and holds the message.  The segment
-        splits into a left part of ``⌈n/2⌉`` and a right part of
-        ``⌊n/2⌋`` positions; the holder unicasts to the node at its own
-        relative offset in the opposite part (no send when the opposite
-        part has no such offset), then both recurse.
-        """
-        n = hi - lo
-        if n <= 1:
-            return
-        half = (n + 1) // 2  # size of the left part
-        pos = holder[axis]
-        if pos < lo + half:
-            # Mirror into the (possibly smaller) right part; when the
-            # exact mirror does not exist, the rightmost node stands in
-            # so the part still gains a holder.
-            partner_pos = min(pos + half, hi - 1)
-        else:
-            partner_pos = pos - half
-        head, tail = holder[:axis], holder[axis + 1 :]
-        partner = head + (partner_pos,) + tail
-        step = 1 if partner_pos > pos else -1
-        nodes = [
-            head + (v,) + tail for v in range(pos, partner_pos + step, step)
-        ]
-        out[level].append(
-            PathSend(
-                source=holder,
-                deliveries=frozenset({partner}),
-                path=Path(nodes, deliveries=[partner]),
-                control=ControlField.RECEIVE,
-            )
-        )
-        left = (lo, lo + half)
-        right = (lo + half, hi)
-        own_part, other_part = (
-            (left, right) if pos < lo + half else (right, left)
-        )
-        self._cover_line(holder, axis, own_part[0], own_part[1], level + 1, out)
-        self._cover_line(partner, axis, other_part[0], other_part[1], level + 1, out)
+            pos, stride = source[axis], strides[axis]
+            line = holders[:, None] - pos * stride  # each holder's line start
+            levels, _ = line_levels(radix, pos)
+            for frm, to in levels:
+                steps.append(
+                    ((line + frm * stride).ravel(), (line + to * stride).ravel())
+                )
+            holders = (line + np.arange(radix) * stride).ravel()
+        return steps

@@ -84,7 +84,7 @@ def run_single_broadcasts(
         algorithm = cls(mesh, max_destinations_per_path=max_destinations_per_path)
     else:
         algorithm = cls(mesh)
-    ports = ports_override or algorithm.ports_required
+    ports = algorithm.ports_required if ports_override is None else ports_override
     config = paper_config(ports, startup_latency)
     outcomes: List[BroadcastOutcome] = []
     for source in sources:

@@ -15,6 +15,7 @@ __all__ = [
     "Coordinate",
     "to_index",
     "from_index",
+    "row_major_strides",
     "coordinate_iter",
     "manhattan_distance",
     "chebyshev_distance",
@@ -55,6 +56,14 @@ def to_index(coord: Sequence[int], dims: Sequence[int]) -> int:
     for c, d in zip(coord, dims):
         index = index * d + c
     return index
+
+
+def row_major_strides(dims: Sequence[int]) -> Tuple[int, ...]:
+    """Index step of one hop along each axis: ``to_index`` is ``Σ c·s``."""
+    strides = [1] * len(dims)
+    for axis in range(len(dims) - 2, -1, -1):
+        strides[axis] = strides[axis + 1] * dims[axis + 1]
+    return tuple(strides)
 
 
 def from_index(index: int, dims: Sequence[int]) -> Coordinate:

@@ -93,7 +93,8 @@ it predicts:
   function to resolve them with;
 * delivery sets are disjoint across sends and cover exactly the
   schedule's non-source nodes (the exactly-once delivery invariant);
-* every sending node is itself delivered to (local causality);
+* the source sends, and every other sending node is itself delivered
+  to (local causality);
 * a worm that delivers to a launcher ends its walk before its first
   delivery's arrival (``hops_remaining < length_flits - 1``), so the
   launch happens at the arrival time.  A worm that delivers only to
@@ -119,6 +120,16 @@ Anything that fails these checks is reported through the ``ok`` mask of
 :class:`BatchSweepResult` and must be re-run per-source on the
 event-driven engine (see :mod:`repro.core.batch_broadcast`), mirroring
 the batched-walk guard of :mod:`repro.network.wormhole`.
+
+Two planners feed the sweep.  :func:`plan_broadcast` flattens any
+object schedule (DB's coded paths, AB's waypoints).  RD and EDN send
+only unicasts on dimension-ordered routes, so their recursions emit a
+per-step table of ``(sender, receiver)`` node indices instead, and
+:func:`plan_unicasts` builds the same plan from it with numpy: routes
+from per-axis signed strides
+(:func:`~repro.routing.dimension_ordered.unicast_walks`), the static
+checks above on the index arrays.  A source either planner declines,
+or the sweep hands back, runs event-driven on its object schedule.
 """
 
 from __future__ import annotations
@@ -129,14 +140,23 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["BatchPlan", "BatchSweepResult", "plan_broadcast", "sweep_broadcasts"]
+from repro.network.coordinates import row_major_strides
+from repro.routing.dimension_ordered import unicast_walks
+
+__all__ = [
+    "BatchPlan",
+    "BatchSweepResult",
+    "plan_broadcast",
+    "plan_unicasts",
+    "sweep_broadcasts",
+]
 
 
 @dataclass
 class BatchPlan:
     """One broadcast schedule flattened into index space.
 
-    Built by :func:`plan_broadcast`; consumed by
+    Built by :func:`plan_broadcast` or :func:`plan_unicasts`; consumed by
     :func:`sweep_broadcasts`.  All arrays are structure-of-arrays views
     of the schedule: worms are stored launcher-major (a *launcher* is a
     sending node) in launch order, deliveries and channels hang off
@@ -234,9 +254,9 @@ def plan_broadcast(
     (``make_routing(mesh)``); it resolves waypoint sends, which without
     it make the schedule ineligible.  ``None`` means the schedule is
     statically ineligible for the batch sweep (unroutable waypoint
-    sends, overlapping or incomplete delivery sets, a sender that is
-    never delivered to) and the source must run on the event-driven
-    engine.
+    sends, overlapping or incomplete delivery sets, a source that sends
+    nothing, a sender that is never delivered to) and the source must
+    run on the event-driven engine.
     """
     template = schedule.sends_by_node()
     if not template:
@@ -307,6 +327,8 @@ def plan_broadcast(
         return None  # delivered twice: hook order unclear
     if source_idx in delivered:
         return None  # the source must never be an arrival
+    if source_idx not in sender_idx:
+        return None  # the sweep starts every broadcast at its source
     if not sender_idx - {source_idx} <= delivered:
         return None  # launcher unreachable: the DES would stall
 
@@ -331,6 +353,111 @@ def plan_broadcast(
         chan_key=ints(chan_key),
         worm_wait=ints(worm_wait),
         worm_first_choice=np.asarray(worm_choice, dtype=bool),
+    )
+
+
+def plan_unicasts(
+    algorithm: str,
+    source: Sequence[int],
+    dims: Sequence[int],
+    steps: Sequence[Tuple[np.ndarray, np.ndarray]],
+    step_count: Optional[int] = None,
+) -> Optional[BatchPlan]:
+    """Plan a broadcast of dimension-ordered unicasts from its table.
+
+    ``steps`` holds, per message-passing step, ``(senders, receivers)``:
+    two equal-length integer arrays of row-major node indices, one send
+    per position, in schedule order.  The result equals, field for
+    field, what :func:`plan_broadcast` makes of the object schedule that
+    the table describes (one single-delivery :class:`PathSend` per pair
+    on its dimension-ordered route), without building that schedule.
+
+    The checks are the ones ``BroadcastAlgorithm.schedule`` and
+    :func:`plan_broadcast` make.  A step count other than
+    ``step_count`` raises ``AssertionError`` and a self-send raises
+    ``ValueError``, as building the schedule would.  ``None`` means the
+    table is statically ineligible: nothing to send, a node delivered
+    twice, the source delivered or sending nothing, or another launcher
+    never delivered to.
+    """
+    if step_count is not None and len(steps) != step_count:
+        raise AssertionError(
+            f"{algorithm}: built {len(steps)} steps, closed form"
+            f" says {step_count} — constructor bug"
+        )
+    n_nodes = int(np.prod(dims))
+    source = tuple(int(c) for c in source)
+    source_idx = sum(c * s for c, s in zip(source, row_major_strides(dims)))
+    if not steps:
+        return None
+    src = np.concatenate([np.asarray(s, dtype=np.int64) for s, _ in steps])
+    dst = np.concatenate([np.asarray(d, dtype=np.int64) for _, d in steps])
+    if src.size == 0:
+        return None  # degenerate: nothing to send, nothing to measure
+    if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n_nodes:
+        raise ValueError(f"a send leaves the {tuple(dims)} mesh")
+    if (src == dst).any():
+        raise ValueError("a send cannot deliver to its own source")
+    if np.unique(dst).size != dst.size:
+        return None  # delivered twice: hook order unclear
+    if (dst == source_idx).any():
+        return None  # the source must never be an arrival
+    if not (src == source_idx).any():
+        return None  # the sweep starts every broadcast at its source
+    launchers, first, inverse = np.unique(
+        src, return_index=True, return_inverse=True
+    )
+    if not np.isin(launchers[launchers != source_idx], dst).all():
+        return None  # launcher unreachable: the DES would stall
+
+    # Launcher-major worm order: launchers by first launch, each one's
+    # worms in schedule order.
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    worm_launcher = rank[inverse]
+    order = np.argsort(worm_launcher, kind="stable")
+    src, dst = src[order], dst[order]
+    launcher_ptr = np.zeros(launchers.size + 1, dtype=np.int64)
+    np.cumsum(
+        np.bincount(worm_launcher, minlength=launchers.size),
+        out=launcher_ptr[1:],
+    )
+
+    walk_ptr, walk_node = unicast_walks(dims, src, dst)
+    hops = np.diff(walk_ptr) - 1
+    tail = np.ones(walk_node.size, dtype=bool)
+    tail[walk_ptr[1:] - 1] = False  # a walk's last node starts no hop
+    hop_from = np.flatnonzero(tail)
+    chan_key = walk_node[hop_from] * n_nodes + walk_node[hop_from + 1]
+    chan_ptr = np.zeros(src.size + 1, dtype=np.int64)
+    np.cumsum(hops, out=chan_ptr[1:])
+    # A first channel leaves its launcher, so equal first channels mean
+    # one launcher: each worm waits for the latest earlier worm on it.
+    first_key = chan_key[chan_ptr[:-1]]
+    by_key = np.argsort(first_key, kind="stable")
+    same = first_key[by_key[1:]] == first_key[by_key[:-1]]
+    worm_wait = np.full(src.size, -1, dtype=np.int64)
+    worm_wait[by_key[1:][same]] = by_key[:-1][same]
+
+    return BatchPlan(
+        algorithm=algorithm,
+        source=source,
+        source_idx=source_idx,
+        n_nodes=n_nodes,
+        total_sends=int(src.size),
+        launcher_nodes=launchers[by_first],
+        launcher_ptr=launcher_ptr,
+        worm_hops=hops,
+        worm_first_delivery_hop=hops,
+        worm_feeds=np.isin(dst, launchers),
+        deliv_ptr=np.arange(src.size + 1, dtype=np.int64),
+        deliv_hop=hops,
+        deliv_node=dst,
+        chan_ptr=chan_ptr,
+        chan_key=chan_key,
+        worm_wait=worm_wait,
+        worm_first_choice=np.zeros(src.size, dtype=bool),
     )
 
 
@@ -460,7 +587,7 @@ def sweep_broadcasts(
             dtype=np.int64,
         )
     ]
-    # plan_broadcast guarantees the source launches at least one send,
+    # Both planners guarantee the source launches at least one send,
     # so every source owns a launcher row; broadcasts begin at t = 0.
     arrival[source_launchers] = 0.0
 

@@ -6,6 +6,8 @@ usage — so a refactor that keeps coverage but breaks the construction
 is caught.
 """
 
+import math
+
 import pytest
 
 from repro.core import (
@@ -14,7 +16,7 @@ from repro.core import (
     ExtendedDominatingNodes,
     RecursiveDoubling,
 )
-from repro.core.schedule import PathSend
+from repro.core.schedule import BroadcastSchedule, BroadcastStep, PathSend
 from repro.experiments.common import random_sources
 from repro.network import ControlField, Mesh
 from repro.routing.cpr import straight_line_path
@@ -173,12 +175,30 @@ def test_rd_line_sends_shrink_within_dimension():
 
 
 class _TwoStepRD(RecursiveDoubling):
-    """RD as first written: each send's path built twice.
+    """RD as first written: holder by holder, each send's path built twice.
 
     ``straight_line_path`` builds a validated path that delivers to
     every node of the run, which was then re-wrapped to deliver to the
-    partner alone.  The schedule must not depend on which is used.
+    partner alone.  The schedule must not depend on which is used, nor
+    on RD now emitting its sends as one integer table per step.
     """
+
+    def build_schedule(self, source):
+        steps = []
+        holders = [source]
+        for axis, radix in enumerate(self.topology.dims):
+            if radix == 1:
+                continue
+            levels = math.ceil(math.log2(radix))
+            level_sends = [[] for _ in range(levels)]
+            for holder in holders:
+                self._cover_line(holder, axis, 0, radix, 0, level_sends)
+            for sends in level_sends:
+                steps.append(BroadcastStep(index=len(steps) + 1, sends=sends))
+            holders = [
+                h[:axis] + (v,) + h[axis + 1 :] for h in holders for v in range(radix)
+            ]
+        return BroadcastSchedule(algorithm=self.name, source=source, steps=steps)
 
     def _cover_line(self, holder, axis, lo, hi, level, out):
         n = hi - lo

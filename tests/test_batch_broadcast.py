@@ -553,6 +553,29 @@ def test_engine_not_part_of_unit_hash():
     assert "engine" not in cell_spec().as_dict().get("params", {})
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("algorithm", ["RD", "DB"])
+def test_zero_port_unit_fails_like_a_negative_one(engine, algorithm):
+    # ports_override=0 is a port count, not "unset": it hashes to its
+    # own unit, so it must not quietly run with the default ports.
+    def spec(ports):
+        return UnitSpec(
+            experiment="ablation",
+            kind="broadcast",
+            algorithm=algorithm,
+            dims=(4, 4),
+            length_flits=32,
+            seed=0,
+            replication=0,
+            params=freeze_params(ports_override=ports),
+        )
+
+    for ports in (-1, 0):
+        with pytest.raises(ValueError, match="ports_per_node must be >= 1"):
+            execute_unit(spec(ports), engine=engine)
+    assert execute_unit(spec(1), engine=engine).result["delivered"] == 15
+
+
 @register_unit_runner("engine-probe")
 def _report_engine(spec):
     return {"engine": broadcast_engine()}
