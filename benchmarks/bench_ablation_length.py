@@ -5,8 +5,7 @@ between the algorithms while preserving their order: the body pipeline
 ``(L−1)·β`` is paid once per step regardless of algorithm.
 """
 
-from repro.experiments.ablations import run_message_length_ablation
-from repro.experiments.reporting import format_table
+from repro.experiments.runner import run_experiment
 
 
 def _latency(rows, algorithm, length):
@@ -17,9 +16,9 @@ def _latency(rows, algorithm, length):
 
 
 def test_ablation_message_length(once):
-    rows = once(run_message_length_ablation, scale="smoke", seed=0)
+    rows, text = once(run_experiment, "ablation-length", "smoke", 0)
     print()
-    print(format_table(rows))
+    print(text)
 
     for length in (32, 128, 512, 2048):
         # Ordering is length-invariant.

@@ -9,14 +9,13 @@ the paper alludes to in §3.2–3.3.
 
 import math
 
-from repro.experiments.ablations import run_max_destinations_ablation
-from repro.experiments.reporting import format_table
+from repro.experiments.runner import run_experiment
 
 
 def test_ablation_max_destinations(once):
-    rows = once(run_max_destinations_ablation, scale="smoke", seed=0)
+    rows, text = once(run_experiment, "ablation-maxdest", "smoke", 0)
     print()
-    print(format_table(rows))
+    print(text)
 
     by_limit = {row.value: row for row in rows}
     unlimited = by_limit[math.inf]

@@ -6,8 +6,7 @@ four algorithms at 1/2/3 ports isolates how much of each algorithm's
 performance is port budget rather than schedule structure.
 """
 
-from repro.experiments.ablations import run_port_count_ablation
-from repro.experiments.reporting import format_table
+from repro.experiments.runner import run_experiment
 
 
 def _latency(rows, algorithm, ports):
@@ -18,9 +17,9 @@ def _latency(rows, algorithm, ports):
 
 
 def test_ablation_port_count(once):
-    rows = once(run_port_count_ablation, scale="smoke", seed=0)
+    rows, text = once(run_experiment, "ablation-ports", "smoke", 0)
     print()
-    print(format_table(rows))
+    print(text)
 
     # EDN gains from every extra port (3-port sends per step).
     assert _latency(rows, "EDN", 3) < _latency(rows, "EDN", 1)

@@ -5,8 +5,7 @@ Ts = 0.15 µs the gap between RD (log2 N steps) and AB (3 steps)
 narrows; this ablation quantifies the sensitivity.
 """
 
-from repro.experiments.ablations import run_startup_latency_ablation
-from repro.experiments.reporting import format_table
+from repro.experiments.runner import run_experiment
 
 
 def _latency(rows, algorithm, ts):
@@ -17,9 +16,9 @@ def _latency(rows, algorithm, ts):
 
 
 def test_ablation_startup_latency(once):
-    rows = once(run_startup_latency_ablation, scale="smoke", seed=0)
+    rows, text = once(run_experiment, "ablation-startup", "smoke", 0)
     print()
-    print(format_table(rows))
+    print(text)
 
     # The RD/AB gap shrinks when start-ups get cheap.
     gap_high = _latency(rows, "RD", 1.5) / _latency(rows, "AB", 1.5)

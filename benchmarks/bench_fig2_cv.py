@@ -5,7 +5,7 @@ orderings: AB has the tightest arrival times everywhere, and the
 coded-path algorithms beat EDN under step-synchronised semantics.
 """
 
-from repro.experiments.fig2 import format_fig2, run_fig2
+from repro.experiments.runner import run_experiment
 
 
 def _series(rows, algorithm, barrier=False):
@@ -17,9 +17,9 @@ def _series(rows, algorithm, barrier=False):
 
 
 def test_fig2_coefficient_of_variation(once):
-    rows = once(run_fig2, scale="smoke", seed=0)
+    rows, text = once(run_experiment, "fig2", "smoke", 0)
     print()
-    print(format_fig2(rows))
+    print(text)
 
     ab = _series(rows, "AB")
     for name in ("RD", "EDN", "DB"):

@@ -7,13 +7,13 @@ locally-causal semantics; EXPERIMENTS.md discusses where the paper's
 absolute numbers cannot be reproduced.
 """
 
-from repro.experiments.tables_cv import format_cv_table, run_cv_table
+from repro.experiments.runner import run_experiment
 
 
 def test_table1_db_improvement(once):
-    rows = once(run_cv_table, "DB", scale="smoke", seed=0)
+    rows, text = once(run_experiment, "table1", "smoke", 0)
     print()
-    print(format_cv_table(rows))
+    print(text)
 
     edn_rows = sorted(
         (r for r in rows if r.baseline == "EDN"), key=lambda r: r.num_nodes

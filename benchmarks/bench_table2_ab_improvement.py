@@ -6,13 +6,13 @@ our AB-vs-EDN improvements land within ~30 % of the paper's own
 percentages.
 """
 
-from repro.experiments.tables_cv import format_cv_table, run_cv_table
+from repro.experiments.runner import run_experiment
 
 
 def test_table2_ab_improvement(once):
-    rows = once(run_cv_table, "AB", scale="smoke", seed=0)
+    rows, text = once(run_experiment, "table2", "smoke", 0)
     print()
-    print(format_cv_table(rows))
+    print(text)
 
     for row in rows:
         # AB improves over both baselines at every size.

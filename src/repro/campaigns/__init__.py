@@ -32,8 +32,8 @@ Core pieces:
   per worker), and a deterministic reducer fires when the last
   shard lands (``repro fig3 --shards 4 --workers 4``,
   ``repro fig1 --shards auto --workers 8``);
-* :mod:`repro.campaigns.aggregate` — merges unit records back into the
-  per-experiment row dataclasses.
+* :mod:`repro.campaigns.aggregate` — groups unit records into grid
+  cells for the experiments' aggregators.
 
 Determinism contract: a unit derives every random draw it needs from
 the campaign's master seed via the :class:`repro.sim.rng.RandomStreams`
@@ -48,11 +48,7 @@ protocol and a multi-host walkthrough, and ``docs/architecture.md``
 for how the campaigns layer sits atop the rest of the stack.
 """
 
-from repro.campaigns.aggregate import (
-    aggregate,
-    failed_records,
-    register_aggregator,
-)
+from repro.campaigns.aggregate import aggregate, failed_records
 from repro.campaigns.pool import (
     TooManyFailuresError,
     WorkerCrashError,
@@ -113,7 +109,6 @@ __all__ = [
     "open_store",
     "order_units",
     "planned_shards",
-    "register_aggregator",
     "register_unit_runner",
     "run_campaign",
     "shard_specs",

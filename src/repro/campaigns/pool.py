@@ -180,16 +180,11 @@ def broadcast_worms(
     unit's ``ports_override`` changes contention, not the schedule, so
     it is not part of the key.
     """
-    from repro.core.adaptive_broadcast import AdaptiveBroadcast
-    from repro.core.registry import get_algorithm
+    from repro.core.registry import make_algorithm
     from repro.network.topology import Mesh
 
     mesh = Mesh(dims)
-    cls = get_algorithm(algorithm)
-    if cls is AdaptiveBroadcast and max_destinations_per_path is not None:
-        built = cls(mesh, max_destinations_per_path=max_destinations_per_path)
-    else:
-        built = cls(mesh)
+    built = make_algorithm(algorithm, mesh, max_destinations_per_path)
     sends = [send for _, send in built.schedule((0,) * len(dims)).all_sends()]
     return len(sends), sum(send.min_hops(mesh) for send in sends) / len(sends)
 

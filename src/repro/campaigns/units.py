@@ -197,6 +197,8 @@ def _broadcast_source_results(
         run_barrier_broadcasts(
             spec.algorithm, spec.dims, sources, spec.length_flits,
             startup_latency,
+            max_destinations_per_path=spec.param("max_destinations_per_path"),
+            ports_override=spec.param("ports_override"),
         )
         if spec.param("barrier", False)
         else None

@@ -50,7 +50,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.comparison import compare_algorithms
-from repro.campaigns.aggregate import aggregate, failed_records
+from repro.campaigns.aggregate import failed_records
 from repro.campaigns.pool import TooManyFailuresError, run_campaign
 from repro.campaigns.remote import DEFAULT_PORT, StoreUnreachableError
 from repro.campaigns.store import (
@@ -62,6 +62,7 @@ from repro.campaigns.store import (
 from repro.core.adaptive_broadcast import AdaptiveBroadcast
 from repro.core.executors import EventDrivenExecutor
 from repro.core.registry import algorithm_names, get_algorithm
+from repro.experiments.common import failure_note
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import EXPERIMENTS, campaign_for, run_experiment
 from repro.network.network import NetworkConfig, NetworkSimulator
@@ -256,8 +257,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list available experiments")
 
-    for experiment_id, help_text in EXPERIMENTS.items():
-        p = sub.add_parser(experiment_id, help=help_text)
+    for experiment in EXPERIMENTS.values():
+        p = sub.add_parser(experiment.id, help=experiment.title)
         _add_experiment_options(p)
         p.add_argument(
             "--store",
@@ -421,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_list() -> int:
     print("experiments:")
     for experiment_id in sorted(EXPERIMENTS):
-        print(f"  {experiment_id:<18s} {EXPERIMENTS[experiment_id]}")
+        print(f"  {experiment_id:<18s} {EXPERIMENTS[experiment_id].title}")
     print(f"  {'campaign':<18s} {CAMPAIGN_HELP}")
     return 0
 
@@ -1058,16 +1059,11 @@ def _cmd_campaign(args) -> int:
             )
             return 1
     failed = failed_records(records)
-    rows = aggregate(args.experiment, records)
-    from repro.experiments.runner import FORMATTERS
-
-    print(FORMATTERS[args.experiment](rows))
+    experiment = EXPERIMENTS[args.experiment]
+    rows = experiment.aggregate(records)
+    print(experiment.format(rows))
     for record in failed:
-        print(
-            f"warning: skipping failed cell {record.unit_hash[:12]}"
-            f" ({record.attempts} attempt(s)): {record.failure_reason}",
-            file=sys.stderr,
-        )
+        print(failure_note(record), file=sys.stderr)
     if failed:
         print(
             f"campaign {spec.name}: {len(failed)} unit(s) failed —"

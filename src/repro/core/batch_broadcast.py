@@ -51,10 +51,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.adaptive_broadcast import AdaptiveBroadcast
 from repro.core.base import UnicastBroadcast
 from repro.core.executors import BroadcastOutcome, EventDrivenExecutor
-from repro.core.registry import get_algorithm
+from repro.core.registry import make_algorithm
 from repro.core.schedule import BroadcastSchedule
 from repro.network.network import NetworkConfig, NetworkSimulator
 from repro.network.topology import Mesh
@@ -115,11 +114,7 @@ def run_batch_broadcasts(
     record how many of the requested sources each path served.
     """
     mesh = Mesh(dims)
-    cls = get_algorithm(algorithm_name)
-    if cls is AdaptiveBroadcast and max_destinations_per_path is not None:
-        algorithm = cls(mesh, max_destinations_per_path=max_destinations_per_path)
-    else:
-        algorithm = cls(mesh)
+    algorithm = make_algorithm(algorithm_name, mesh, max_destinations_per_path)
     ports = algorithm.ports_required if ports_override is None else ports_override
     config = NetworkConfig(
         startup_latency=startup_latency, flit_time=0.003, ports_per_node=ports

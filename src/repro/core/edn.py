@@ -1,7 +1,7 @@
 """Extended Dominating Nodes (EDN) — Tsai & McKinley [20].
 
 A multiport (3-port) broadcast built on dominating-node levels.  The
-reproduction uses the three-phase construction documented in DESIGN.md
+reproduction uses the three-phase construction documented below
 (the full dominating-set tables of the original paper are not
 reproduced in the paper under study, which only quotes the step-count
 formula):

@@ -1,13 +1,15 @@
-"""Experiment harness: one runner per table/figure of the paper.
+"""Experiment harness: one declaration per table/figure of the paper.
 
-Each experiment module exposes a ``run_*`` function returning plain
-result rows plus a formatter producing the same table/series the paper
-prints.  ``runner.run_experiment`` dispatches by experiment id
-("fig1", "fig2", "table1", "table2", "fig3", "fig4", plus the
-ablations); the CLI wraps it.
+Each experiment module holds an artefact's row type, its grid builder,
+its aggregator and its formatter; ``runner.EXPERIMENTS`` joins them
+into one :class:`~repro.experiments.runner.Experiment` per id ("fig1",
+"fig2", "table1", "table2", "fig3", "fig4", plus the ablations), and
+``runner.run_experiment`` regenerates any of them by id; the CLI wraps
+it.
 
-Every experiment supports two scales: ``quick`` (seconds-to-minutes,
-for CI and benchmarks) and ``full`` (the paper's sample counts).
+Every experiment supports three scales: ``smoke`` (seconds, for unit
+tests), ``quick`` (seconds-to-minutes, for CI and benchmarks) and
+``full`` (the paper's sample counts).
 """
 
 from repro.experiments.config import (
@@ -19,33 +21,17 @@ from repro.experiments.config import (
     scale_by_name,
 )
 from repro.experiments.fig1 import Fig1Row, fig1_campaign, run_fig1
-from repro.experiments.fig2 import Fig2Row, fig2_campaign, run_fig2
-from repro.experiments.tables_cv import (
-    CVTableRow,
-    cv_table_campaign,
-    run_cv_table,
-)
+from repro.experiments.fig2 import Fig2Row, fig2_campaign
+from repro.experiments.tables_cv import CVTableRow, cv_table_campaign
 from repro.experiments.traffic_sweep import (
     TrafficSweepRow,
     run_traffic_sweep,
     traffic_campaign,
 )
-from repro.experiments.ablations import (
-    run_message_length_ablation,
-    run_max_destinations_ablation,
-    run_port_count_ablation,
-    run_startup_latency_ablation,
-)
-from repro.experiments.runner import (
-    CAMPAIGNS,
-    EXPERIMENTS,
-    campaign_for,
-    run_experiment,
-)
+from repro.experiments.runner import EXPERIMENTS, campaign_for, run_experiment
 from repro.experiments.reporting import format_table
 
 __all__ = [
-    "CAMPAIGNS",
     "CVTableRow",
     "EXPERIMENTS",
     "ExperimentScale",
@@ -61,14 +47,8 @@ __all__ = [
     "fig1_campaign",
     "fig2_campaign",
     "format_table",
-    "run_cv_table",
     "run_experiment",
     "run_fig1",
-    "run_fig2",
-    "run_message_length_ablation",
-    "run_max_destinations_ablation",
-    "run_port_count_ablation",
-    "run_startup_latency_ablation",
     "run_traffic_sweep",
     "scale_by_name",
     "traffic_campaign",

@@ -12,35 +12,78 @@ The design choices the paper mentions but does not isolate:
 * **port count** — EDN is designed for multiport routers; giving every
   algorithm the same port budget isolates the benefit.
 
-Each ablation declares a value × algorithm × source unit grid and runs
-through the campaign engine (``workers``/``store`` parallelise and
-resume it like any other campaign).
+Each ablation is one row of :data:`ABLATIONS`: the broadcast-unit field
+it sweeps, the values, and the algorithms.  :func:`ablation_campaign`
+declares any of them as a value × algorithm × source unit grid on
+8×8×8 and :func:`aggregate_ablation` folds the records back into
+:class:`AblationRow`\\ s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.campaigns.aggregate import cells, series
 from repro.campaigns.spec import CampaignSpec, UnitSpec
-from repro.campaigns.store import CampaignStore
+from repro.campaigns.store import UnitRecord
 from repro.core.registry import algorithm_names
-from repro.experiments.common import broadcast_units, campaign, run_units
+from repro.experiments.common import broadcast_units, campaign
 from repro.experiments.config import ExperimentScale
 
 __all__ = [
+    "ABLATIONS",
+    "Ablation",
     "AblationRow",
-    "startup_ablation_campaign",
-    "length_ablation_campaign",
-    "maxdest_ablation_campaign",
-    "ports_ablation_campaign",
-    "run_startup_latency_ablation",
-    "run_message_length_ablation",
-    "run_max_destinations_ablation",
-    "run_port_count_ablation",
+    "ablation_campaign",
+    "aggregate_ablation",
 ]
 
 DIMS = (8, 8, 8)
+LENGTH_FLITS = 100  # the Fig. 1 message, where an ablation does not vary it
+ALL = tuple(algorithm_names())
+
+
+@dataclass(frozen=True)
+class Ablation:
+    """One ablation: a sweep of one broadcast-unit field on 8×8×8.
+
+    ``field`` is the :func:`~repro.experiments.common.broadcast_units`
+    argument the sweep sets (``length_flits`` or one of its keyword
+    parameters); ``parameter`` labels the value in the rows.  A
+    ``None`` value (no limit) reads as ``inf`` in the rows.
+    """
+
+    id: str
+    title: str
+    parameter: str
+    values: Tuple[Optional[float], ...]
+    algorithms: Tuple[str, ...]
+    field: str
+
+
+#: The four ablations, in ``repro --help`` order.
+ABLATIONS: Tuple[Ablation, ...] = (
+    Ablation(
+        "ablation-startup", "start-up latency ablation (Ts = 0.15 vs 1.5 us)",
+        "startup_latency_us", (0.15, 1.5), ALL, "startup_latency",
+    ),
+    Ablation(
+        "ablation-length", "message-length ablation (32-2048 flits)",
+        "message_length_flits", (32, 128, 512, 2048), ALL, "length_flits",
+    ),
+    Ablation(
+        "ablation-maxdest", "AB per-path destination-limit ablation",
+        "max_destinations_per_path", (None, 32, 16, 8), ("AB",),
+        "max_destinations_per_path",
+    ),
+    Ablation(
+        "ablation-ports", "port-count ablation (1-3 ports per node)",
+        "ports_per_node", (1, 2, 3), ALL, "ports_override",
+    ),
+)
 
 
 @dataclass(frozen=True)
@@ -55,155 +98,48 @@ class AblationRow:
     samples: int
 
 
-def startup_ablation_campaign(
+def ablation_campaign(
+    ablation: Ablation,
     scale: str | ExperimentScale = "quick",
     seed: int = 0,
-    startup_values: Tuple[float, ...] = (0.15, 1.5),
-    length_flits: int = 100,
     shards: int | str = 1,
 ) -> CampaignSpec:
-    """All four algorithms at each paper Ts value."""
+    """Declare ``ablation``'s grid: every value × algorithm × source."""
     units: List[UnitSpec] = []
-    for ts in startup_values:
+    for value in ablation.values:
+        grid = {"length_flits": LENGTH_FLITS, ablation.field: value}
         units += broadcast_units(
-            "ablation-startup",
+            ablation.id,
             [DIMS],
-            algorithm_names(),
-            length_flits,
-            scale,
-            seed,
-            startup_latency=ts,
+            ablation.algorithms,
+            scale=scale,
+            seed=seed,
             shards=shards,
+            **grid,
         )
-    return campaign("ablation-startup", units, scale, seed)
+    return campaign(ablation.id, units, scale, seed)
 
 
-def run_startup_latency_ablation(
-    scale: str | ExperimentScale = "quick",
-    seed: int = 0,
-    startup_values: Tuple[float, ...] = (0.15, 1.5),
-    length_flits: int = 100,
-    *,
-    workers: int = 1,
-    store: Optional[CampaignStore] = None,
-    shards: int | str = 1,
+def aggregate_ablation(
+    ablation: Ablation, records: Sequence[UnitRecord]
 ) -> List[AblationRow]:
-    """Latency/CV of all four algorithms at both paper Ts values."""
-    spec = startup_ablation_campaign(
-        scale, seed, startup_values, length_flits, shards
-    )
-    return run_units(
-        "ablation-startup", spec, workers=workers, store=store, shards=shards
-    )
-
-
-def length_ablation_campaign(
-    scale: str | ExperimentScale = "quick",
-    seed: int = 0,
-    lengths: Tuple[int, ...] = (32, 128, 512, 2048),
-    shards: int | str = 1,
-) -> CampaignSpec:
-    """All four algorithms at each message length."""
-    units: List[UnitSpec] = []
-    for length in lengths:
-        units += broadcast_units(
-            "ablation-length", [DIMS], algorithm_names(), length, scale,
-            seed, shards=shards,
+    """One row per (value, algorithm) cell: mean latency and CV."""
+    rows = []
+    for spec, members in cells(records):
+        if ablation.field == "length_flits":
+            value = spec.length_flits
+        else:
+            value = spec.param(ablation.field)
+        rows.append(
+            AblationRow(
+                algorithm=spec.algorithm,
+                parameter=ablation.parameter,
+                value=float("inf") if value is None else float(value),
+                mean_latency_us=float(
+                    np.mean(series(members, "network_latency"))
+                ),
+                mean_cv=float(np.mean(series(members, "cv"))),
+                samples=len(members),
+            )
         )
-    return campaign("ablation-length", units, scale, seed)
-
-
-def run_message_length_ablation(
-    scale: str | ExperimentScale = "quick",
-    seed: int = 0,
-    lengths: Tuple[int, ...] = (32, 128, 512, 2048),
-    *,
-    workers: int = 1,
-    store: Optional[CampaignStore] = None,
-    shards: int | str = 1,
-) -> List[AblationRow]:
-    """The paper's stated 32–2048-flit message-length range."""
-    spec = length_ablation_campaign(scale, seed, lengths, shards)
-    return run_units(
-        "ablation-length", spec, workers=workers, store=store, shards=shards
-    )
-
-
-def maxdest_ablation_campaign(
-    scale: str | ExperimentScale = "quick",
-    seed: int = 0,
-    limits: Tuple[Optional[int], ...] = (None, 32, 16, 8),
-    length_flits: int = 100,
-    shards: int | str = 1,
-) -> CampaignSpec:
-    """AB at each per-path destination bound."""
-    units: List[UnitSpec] = []
-    for limit in limits:
-        units += broadcast_units(
-            "ablation-maxdest",
-            [DIMS],
-            ["AB"],
-            length_flits,
-            scale,
-            seed,
-            max_destinations_per_path=limit,
-            shards=shards,
-        )
-    return campaign("ablation-maxdest", units, scale, seed)
-
-
-def run_max_destinations_ablation(
-    scale: str | ExperimentScale = "quick",
-    seed: int = 0,
-    limits: Tuple[Optional[int], ...] = (None, 32, 16, 8),
-    length_flits: int = 100,
-    *,
-    workers: int = 1,
-    store: Optional[CampaignStore] = None,
-    shards: int | str = 1,
-) -> List[AblationRow]:
-    """AB's per-path destination bound: long worms vs many worms."""
-    spec = maxdest_ablation_campaign(scale, seed, limits, length_flits, shards)
-    return run_units(
-        "ablation-maxdest", spec, workers=workers, store=store, shards=shards
-    )
-
-
-def ports_ablation_campaign(
-    scale: str | ExperimentScale = "quick",
-    seed: int = 0,
-    ports: Tuple[int, ...] = (1, 2, 3),
-    length_flits: int = 100,
-    shards: int | str = 1,
-) -> CampaignSpec:
-    """Every algorithm at every port budget."""
-    units: List[UnitSpec] = []
-    for port_count in ports:
-        units += broadcast_units(
-            "ablation-ports",
-            [DIMS],
-            algorithm_names(),
-            length_flits,
-            scale,
-            seed,
-            ports_override=port_count,
-            shards=shards,
-        )
-    return campaign("ablation-ports", units, scale, seed)
-
-
-def run_port_count_ablation(
-    scale: str | ExperimentScale = "quick",
-    seed: int = 0,
-    ports: Tuple[int, ...] = (1, 2, 3),
-    length_flits: int = 100,
-    *,
-    workers: int = 1,
-    store: Optional[CampaignStore] = None,
-    shards: int | str = 1,
-) -> List[AblationRow]:
-    """Every algorithm at every port budget (EDN's multiport advantage)."""
-    spec = ports_ablation_campaign(scale, seed, ports, length_flits, shards)
-    return run_units(
-        "ablation-ports", spec, workers=workers, store=store, shards=shards
-    )
+    return rows

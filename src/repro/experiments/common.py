@@ -18,14 +18,13 @@ from typing import Any, Iterable, List, Optional, Sequence, Tuple
 from repro.campaigns.aggregate import aggregate, failed_records
 from repro.campaigns.pool import ProgressFn, run_campaign
 from repro.campaigns.spec import CampaignSpec, UnitSpec, freeze_params
-from repro.campaigns.store import CampaignStore
-from repro.core.adaptive_broadcast import AdaptiveBroadcast
+from repro.campaigns.store import CampaignStore, UnitRecord
 from repro.core.executors import (
     BarrierStepExecutor,
     BroadcastOutcome,
     EventDrivenExecutor,
 )
-from repro.core.registry import get_algorithm
+from repro.core.registry import make_algorithm
 from repro.experiments.config import ExperimentScale, scale_by_name
 from repro.network.network import NetworkConfig, NetworkSimulator
 from repro.network.topology import Mesh
@@ -40,6 +39,7 @@ __all__ = [
     "broadcast_units",
     "traffic_units",
     "campaign",
+    "failure_note",
     "run_units",
 ]
 
@@ -79,11 +79,7 @@ def run_single_broadcasts(
     paper's §3.1/§3.2 setting.
     """
     mesh = Mesh(dims)
-    cls = get_algorithm(algorithm_name)
-    if cls is AdaptiveBroadcast and max_destinations_per_path is not None:
-        algorithm = cls(mesh, max_destinations_per_path=max_destinations_per_path)
-    else:
-        algorithm = cls(mesh)
+    algorithm = make_algorithm(algorithm_name, mesh, max_destinations_per_path)
     ports = algorithm.ports_required if ports_override is None else ports_override
     config = paper_config(ports, startup_latency)
     outcomes: List[BroadcastOutcome] = []
@@ -106,15 +102,20 @@ def run_barrier_broadcasts(
     sources: List[Tuple[int, ...]],
     length_flits: int,
     startup_latency: float = 1.5,
+    max_destinations_per_path: Optional[int] = None,
+    ports_override: Optional[int] = None,
 ) -> List[BroadcastOutcome]:
     """Closed-form step-synchronised broadcasts (no contention).
 
     The semantics under which the paper's per-step arguments are exact;
-    used as the second CV column of the table experiments.
+    used as the second CV column of the table experiments.  Takes the
+    same algorithm and port parameters as :func:`run_single_broadcasts`,
+    so a unit's barrier twin measures the broadcast the unit declares.
     """
     mesh = Mesh(dims)
-    algorithm = get_algorithm(algorithm_name)(mesh)
-    config = paper_config(algorithm.ports_required, startup_latency)
+    algorithm = make_algorithm(algorithm_name, mesh, max_destinations_per_path)
+    ports = algorithm.ports_required if ports_override is None else ports_override
+    config = paper_config(ports, startup_latency)
     executor = BarrierStepExecutor(mesh, config)
     return [
         executor.execute(algorithm.schedule(source), length_flits)
@@ -298,13 +299,13 @@ def run_units(
 ) -> List[Any]:
     """Execute a declared campaign and aggregate it into result rows.
 
-    The one shared execution path behind every ``run_*`` experiment
-    function: dispatch through :func:`repro.campaigns.run_campaign`
-    (which honours workers, store backend, cache stores, the
-    broadcast-cell fan-out request ``shards``, the
-    ``trace_dir`` span spool, and the ``retries``/``max_failures``
-    failure budget) and fold the records back into the experiment's
-    row dataclasses.  Rows are identical for any combination of the
+    The one shared execution path behind
+    :func:`~repro.experiments.runner.run_experiment`: dispatch through
+    :func:`repro.campaigns.run_campaign` (which honours workers, store
+    backend, cache stores, the broadcast-cell fan-out request
+    ``shards``, the ``trace_dir`` span spool, and the
+    ``retries``/``max_failures`` failure budget) and fold the records
+    back into the experiment's row dataclasses.  Rows are identical for any combination of the
     dispatch knobs — tracing included.
 
     Units that exhausted their retry budget contribute no rows; each
@@ -323,17 +324,21 @@ def run_units(
         retries=retries,
         max_failures=max_failures,
     )
-    failed = failed_records(records)
-    for record in failed:
-        note = (
-            f"warning: skipping failed cell {record.unit_hash[:12]}"
-            f" ({record.attempts} attempt(s)): {record.failure_reason}"
-        )
+    for record in failed_records(records):
+        note = failure_note(record)
         if progress is not None:
             progress(note)
         else:
             warnings.warn(note, RuntimeWarning, stacklevel=2)
     return aggregate(experiment, records)
+
+
+def failure_note(record: UnitRecord) -> str:
+    """The one warning line for a failed cell left out of the rows."""
+    return (
+        f"warning: skipping failed cell {record.unit_hash[:12]}"
+        f" ({record.attempts} attempt(s)): {record.failure_reason}"
+    )
 
 
 def campaign(

@@ -13,15 +13,24 @@ same number of steps there, as the paper notes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.campaigns.aggregate import cells, series
 from repro.campaigns.spec import CampaignSpec
-from repro.campaigns.store import CampaignStore
+from repro.campaigns.store import CampaignStore, UnitRecord
 from repro.core.registry import algorithm_names
 from repro.experiments.common import broadcast_units, campaign, run_units
 from repro.experiments.config import FIG1_SIZES, ExperimentScale
 
-__all__ = ["Fig1Row", "fig1_campaign", "run_fig1", "format_fig1"]
+__all__ = [
+    "Fig1Row",
+    "aggregate_fig1",
+    "fig1_campaign",
+    "format_fig1",
+    "run_fig1",
+]
 
 MESSAGE_LENGTH = 100  # flits, per the figure caption
 STARTUP_LATENCY = 1.5  # µs
@@ -79,6 +88,24 @@ def run_fig1(
         store=store,
         shards=shards,
     )
+
+
+def aggregate_fig1(records: Sequence[UnitRecord]) -> List[Fig1Row]:
+    """One row per (size, algorithm) cell: mean and SD of its latencies."""
+    rows = []
+    for spec, members in cells(records):
+        latencies = series(members, "network_latency")
+        rows.append(
+            Fig1Row(
+                algorithm=spec.algorithm,
+                dims=spec.dims,
+                num_nodes=int(np.prod(spec.dims)),
+                mean_latency_us=float(np.mean(latencies)),
+                std_latency_us=float(np.std(latencies)),
+                samples=len(latencies),
+            )
+        )
+    return rows
 
 
 def format_fig1(rows: List[Fig1Row]) -> str:

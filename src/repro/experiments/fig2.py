@@ -14,15 +14,18 @@ improvements).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
+from repro.campaigns.aggregate import cells, series
 from repro.campaigns.spec import CampaignSpec
-from repro.campaigns.store import CampaignStore
+from repro.campaigns.store import UnitRecord
 from repro.core.registry import algorithm_names
-from repro.experiments.common import broadcast_units, campaign, run_units
+from repro.experiments.common import broadcast_units, campaign
 from repro.experiments.config import FIG2_SIZES, ExperimentScale
 
-__all__ = ["Fig2Row", "fig2_campaign", "run_fig2", "format_fig2"]
+__all__ = ["Fig2Row", "aggregate_fig2", "fig2_campaign", "format_fig2"]
 
 MESSAGE_LENGTH = 100  # flits, per the figure caption
 STARTUP_LATENCY = 1.5  # µs
@@ -44,7 +47,6 @@ class Fig2Row:
 def fig2_campaign(
     scale: str | ExperimentScale = "quick",
     seed: int = 0,
-    length_flits: int = MESSAGE_LENGTH,
     shards: int | str = 1,
 ) -> CampaignSpec:
     """Declare the Fig. 2 unit grid (each unit measures both the
@@ -54,7 +56,7 @@ def fig2_campaign(
         "fig2",
         FIG2_SIZES,
         algorithm_names(),
-        length_flits,
+        MESSAGE_LENGTH,
         scale,
         seed,
         barrier=True,
@@ -64,23 +66,23 @@ def fig2_campaign(
     return campaign("fig2", units, scale, seed)
 
 
-def run_fig2(
-    scale: str | ExperimentScale = "quick",
-    seed: int = 0,
-    length_flits: int = MESSAGE_LENGTH,
-    *,
-    workers: int = 1,
-    store: Optional[CampaignStore] = None,
-    shards: int | str = 1,
-) -> List[Fig2Row]:
-    """Regenerate the Fig. 2 series (via the campaign engine)."""
-    return run_units(
-        "fig2",
-        fig2_campaign(scale, seed, length_flits, shards),
-        workers=workers,
-        store=store,
-        shards=shards,
-    )
+def aggregate_fig2(records: Sequence[UnitRecord]) -> List[Fig2Row]:
+    """One row per (size, algorithm) cell: its event-driven and barrier CVs."""
+    rows = []
+    for spec, members in cells(records):
+        cvs = series(members, "cv")
+        rows.append(
+            Fig2Row(
+                algorithm=spec.algorithm,
+                dims=spec.dims,
+                num_nodes=int(np.prod(spec.dims)),
+                mean_cv=float(np.mean(cvs)),
+                std_cv=float(np.std(cvs)),
+                mean_cv_barrier=float(np.mean(series(members, "barrier_cv"))),
+                samples=len(cvs),
+            )
+        )
+    return rows
 
 
 def format_fig2(rows: List[Fig2Row]) -> str:

@@ -1,111 +1,123 @@
-"""Experiment dispatch.
+"""Experiment declarations and dispatch.
 
-``run_experiment(id, scale)`` regenerates any of the paper's tables or
-figures (or one of our ablations) and returns ``(rows, rendered_text)``.
-Every experiment is a *campaign* — a declarative grid of independent
-simulation units — so all of them accept ``workers`` (process pool),
-``store`` (any resumable :class:`~repro.campaigns.store.CampaignStore`
-backend) and ``cache`` (prior stores to reuse overlapping results
-from); see
+Each of the paper's artefacts — Figs. 1–4, Tables 1–2 and our four
+ablations — is declared exactly once, as an :class:`Experiment` in
+:data:`EXPERIMENTS`.  ``repro list``, the CLI's subcommands,
+:func:`campaign_for`, :func:`run_experiment` and
+:func:`repro.campaigns.aggregate.aggregate` all read that table.
+
+``run_experiment(id, scale)`` regenerates any of them and returns
+``(rows, rendered_text)``.  Every experiment is a *campaign* — a
+declarative grid of independent simulation units — so all of them
+accept ``workers`` (process pool), ``store`` (any resumable
+:class:`~repro.campaigns.store.CampaignStore` backend) and ``cache``
+(prior stores to reuse overlapping results from); see
 :mod:`repro.campaigns`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaigns.pool import ProgressFn
 from repro.campaigns.spec import CampaignSpec
-from repro.campaigns.store import CampaignStore
-from repro.experiments.common import run_units
+from repro.campaigns.store import CampaignStore, UnitRecord
 from repro.experiments.ablations import (
-    length_ablation_campaign,
-    maxdest_ablation_campaign,
-    ports_ablation_campaign,
-    startup_ablation_campaign,
+    ABLATIONS,
+    ablation_campaign,
+    aggregate_ablation,
 )
-from repro.experiments.fig1 import fig1_campaign, format_fig1
-from repro.experiments.fig2 import fig2_campaign, format_fig2
+from repro.experiments.common import run_units
+from repro.experiments.fig1 import aggregate_fig1, fig1_campaign, format_fig1
+from repro.experiments.fig2 import aggregate_fig2, fig2_campaign, format_fig2
 from repro.experiments.reporting import format_table
-from repro.experiments.tables_cv import cv_table_campaign, format_cv_table
-from repro.experiments.traffic_sweep import format_traffic_sweep, traffic_campaign
+from repro.experiments.tables_cv import (
+    aggregate_cv_table,
+    cv_table_campaign,
+    format_cv_table,
+)
+from repro.experiments.traffic_sweep import (
+    aggregate_traffic,
+    format_traffic_sweep,
+    traffic_campaign,
+)
 
 __all__ = [
-    "CAMPAIGNS",
     "EXPERIMENTS",
-    "FORMATTERS",
+    "Experiment",
     "campaign_for",
     "run_experiment",
 ]
 
-CampaignBuilder = Callable[..., CampaignSpec]
 
-#: Experiment id → campaign builder (scale, seed, shards=1) ->
-#: CampaignSpec.  ``shards`` (an int or ``"auto"``) reaches every
-#: grid: traffic points embed it as protocol (``auto`` declares them
-#: unsharded), broadcast grids switch to
-#: sliceable cell-level units whose actual fan-out the pool picks at
-#: dispatch time.
-CAMPAIGNS: Dict[str, CampaignBuilder] = {
-    "fig1": lambda scale, seed, shards=1: fig1_campaign(
-        scale, seed, shards
-    ),
-    "fig2": lambda scale, seed, shards=1: fig2_campaign(
-        scale, seed, shards=shards
-    ),
-    "table1": lambda scale, seed, shards=1: cv_table_campaign(
-        "DB", scale, seed, shards
-    ),
-    "table2": lambda scale, seed, shards=1: cv_table_campaign(
-        "AB", scale, seed, shards
-    ),
-    "fig3": lambda scale, seed, shards=1: traffic_campaign(
-        "fig3", scale, seed, shards=shards
-    ),
-    "fig4": lambda scale, seed, shards=1: traffic_campaign(
-        "fig4", scale, seed, shards=shards
-    ),
-    "ablation-startup": lambda scale, seed, shards=1: (
-        startup_ablation_campaign(scale, seed, shards=shards)
-    ),
-    "ablation-length": lambda scale, seed, shards=1: (
-        length_ablation_campaign(scale, seed, shards=shards)
-    ),
-    "ablation-maxdest": lambda scale, seed, shards=1: (
-        maxdest_ablation_campaign(scale, seed, shards=shards)
-    ),
-    "ablation-ports": lambda scale, seed, shards=1: (
-        ports_ablation_campaign(scale, seed, shards=shards)
-    ),
-}
+@dataclass(frozen=True)
+class Experiment:
+    """One paper artefact: how to declare, aggregate and print it.
 
-#: Experiment id → row formatter.
-FORMATTERS: Dict[str, Callable[[List[Any]], str]] = {
-    "fig1": format_fig1,
-    "fig2": format_fig2,
-    "table1": format_cv_table,
-    "table2": format_cv_table,
-    "fig3": format_traffic_sweep,
-    "fig4": format_traffic_sweep,
-    "ablation-startup": format_table,
-    "ablation-length": format_table,
-    "ablation-maxdest": format_table,
-    "ablation-ports": format_table,
-}
+    ``campaign(scale, seed, shards=...)`` declares the unit grid.
+    ``shards`` (an int or ``"auto"``) reaches every grid: traffic
+    points embed it as protocol (``auto`` declares them unsharded),
+    broadcast grids switch to sliceable cell-level units whose actual
+    fan-out the pool picks at dispatch time.  ``aggregate(records)``
+    folds the unit records into rows and ``format(rows)`` renders them
+    as the paper prints them.  ``title`` is the ``repro list`` line
+    and the subcommand's help.
 
-#: Experiment id → one-line description.  Ids match DESIGN.md's
-#: experiment index; ``repro list`` prints this table.
-EXPERIMENTS: Dict[str, str] = {
-    "fig1": "broadcast latency vs network size (Fig. 1)",
-    "fig2": "CV of arrival times vs network size (Fig. 2)",
-    "table1": "DB improvement over RD/EDN (Table 1)",
-    "table2": "AB improvement over RD/EDN (Table 2)",
-    "fig3": "latency vs load, 8x8x8 mixed traffic (Fig. 3)",
-    "fig4": "latency vs load, 16x16x8 mixed traffic (Fig. 4)",
-    "ablation-startup": "start-up latency ablation (Ts = 0.15 vs 1.5 us)",
-    "ablation-length": "message-length ablation (32-2048 flits)",
-    "ablation-maxdest": "AB per-path destination-limit ablation",
-    "ablation-ports": "port-count ablation (1-3 ports per node)",
+    INVARIANT: the rows, the rendered text and every unit hash are a
+    function of (scale, seed, shards) alone.
+    """
+
+    id: str
+    title: str
+    campaign: Callable[..., CampaignSpec]
+    aggregate: Callable[[Sequence[UnitRecord]], List[Any]]
+    format: Callable[[List[Any]], str]
+
+
+#: Experiment id → declaration, in ``repro --help`` order.  Ids match
+#: the README's experiment index.
+EXPERIMENTS: Dict[str, Experiment] = {
+    experiment.id: experiment
+    for experiment in (
+        Experiment(
+            "fig1", "broadcast latency vs network size (Fig. 1)",
+            fig1_campaign, aggregate_fig1, format_fig1,
+        ),
+        Experiment(
+            "fig2", "CV of arrival times vs network size (Fig. 2)",
+            fig2_campaign, aggregate_fig2, format_fig2,
+        ),
+        Experiment(
+            "table1", "DB improvement over RD/EDN (Table 1)",
+            partial(cv_table_campaign, "DB"),
+            partial(aggregate_cv_table, "DB"), format_cv_table,
+        ),
+        Experiment(
+            "table2", "AB improvement over RD/EDN (Table 2)",
+            partial(cv_table_campaign, "AB"),
+            partial(aggregate_cv_table, "AB"), format_cv_table,
+        ),
+        Experiment(
+            "fig3", "latency vs load, 8x8x8 mixed traffic (Fig. 3)",
+            partial(traffic_campaign, "fig3"),
+            aggregate_traffic, format_traffic_sweep,
+        ),
+        Experiment(
+            "fig4", "latency vs load, 16x16x8 mixed traffic (Fig. 4)",
+            partial(traffic_campaign, "fig4"),
+            aggregate_traffic, format_traffic_sweep,
+        ),
+        *(
+            Experiment(
+                ablation.id, ablation.title,
+                partial(ablation_campaign, ablation),
+                partial(aggregate_ablation, ablation), format_table,
+            )
+            for ablation in ABLATIONS
+        ),
+    )
 }
 
 
@@ -124,13 +136,13 @@ def campaign_for(
     """
     experiment_id = experiment_id.lower()
     try:
-        builder = CAMPAIGNS[experiment_id]
+        experiment = EXPERIMENTS[experiment_id]
     except KeyError:
         raise KeyError(
             f"unknown experiment {experiment_id!r};"
-            f" choose from {sorted(CAMPAIGNS)}"
+            f" choose from {sorted(EXPERIMENTS)}"
         ) from None
-    return builder(scale, seed, shards=shards)
+    return experiment.campaign(scale, seed, shards=shards)
 
 
 def run_experiment(
@@ -173,4 +185,4 @@ def run_experiment(
         retries=retries,
         max_failures=max_failures,
     )
-    return rows, FORMATTERS[experiment_id](rows)
+    return rows, EXPERIMENTS[experiment_id].format(rows)

@@ -11,14 +11,28 @@ measured tables are printed side by side with the paper's values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.campaigns.aggregate import cells, series
 from repro.campaigns.spec import CampaignSpec
-from repro.campaigns.store import CampaignStore
-from repro.experiments.common import broadcast_units, campaign, run_units
-from repro.experiments.config import FIG2_SIZES, ExperimentScale
+from repro.campaigns.store import UnitRecord
+from repro.experiments.common import broadcast_units, campaign
+from repro.experiments.config import (
+    FIG2_SIZES,
+    PAPER_TABLE1,
+    PAPER_TABLE2,
+    ExperimentScale,
+)
+from repro.metrics.stats import improvement_percent
 
-__all__ = ["CVTableRow", "cv_table_campaign", "run_cv_table", "format_cv_table"]
+__all__ = [
+    "CVTableRow",
+    "aggregate_cv_table",
+    "cv_table_campaign",
+    "format_cv_table",
+]
 
 MESSAGE_LENGTH = 64  # flits, per §3.2
 STARTUP_LATENCY = 1.5  # µs
@@ -42,13 +56,6 @@ class CVTableRow:
     paper_improvement_percent: Optional[float]
 
 
-def _table_id(proposed: str) -> str:
-    proposed = proposed.upper()
-    if proposed not in ("DB", "AB"):
-        raise ValueError(f"the paper's tables propose DB or AB, not {proposed!r}")
-    return "table1" if proposed == "DB" else "table2"
-
-
 def cv_table_campaign(
     proposed: str,
     scale: str | ExperimentScale = "quick",
@@ -62,7 +69,11 @@ def cv_table_campaign(
     other than 1 declares the cells as sliceable cell units.
     """
     proposed = proposed.upper()
-    experiment = _table_id(proposed)
+    if proposed not in ("DB", "AB"):
+        raise ValueError(
+            f"the paper's tables propose DB or AB, not {proposed!r}"
+        )
+    experiment = "table1" if proposed == "DB" else "table2"
     units = broadcast_units(
         experiment,
         FIG2_SIZES,
@@ -77,24 +88,51 @@ def cv_table_campaign(
     return campaign(experiment, units, scale, seed)
 
 
-def run_cv_table(
-    proposed: str,
-    scale: str | ExperimentScale = "quick",
-    seed: int = 0,
-    *,
-    workers: int = 1,
-    store: Optional[CampaignStore] = None,
-    shards: int | str = 1,
+def aggregate_cv_table(
+    proposed: str, records: Sequence[UnitRecord]
 ) -> List[CVTableRow]:
-    """Regenerate Table 1 (``proposed="DB"``) or Table 2 (``"AB"``)."""
-    experiment = _table_id(proposed)
-    return run_units(
-        experiment,
-        cv_table_campaign(proposed, scale, seed, shards),
-        workers=workers,
-        store=store,
-        shards=shards,
-    )
+    """Pair ``proposed`` against RD and EDN at every size, beside the
+    paper's values."""
+    paper = PAPER_TABLE1 if proposed == "DB" else PAPER_TABLE2
+    mean_cv: Dict[Tuple[Tuple[int, ...], str], float] = {}
+    mean_barrier_cv: Dict[Tuple[Tuple[int, ...], str], float] = {}
+    dims_order: List[Tuple[int, ...]] = []
+    for spec, members in cells(records):
+        if spec.dims not in dims_order:
+            dims_order.append(spec.dims)
+        key = (spec.dims, spec.algorithm)
+        mean_cv[key] = float(np.mean(series(members, "cv")))
+        mean_barrier_cv[key] = float(np.mean(series(members, "barrier_cv")))
+
+    rows = []
+    for dims in dims_order:
+        nodes = int(np.prod(dims))
+        for baseline in ("RD", "EDN"):
+            paper_cv, paper_imr = paper.get(baseline, {}).get(
+                nodes, (None, None)
+            )
+            rows.append(
+                CVTableRow(
+                    baseline=baseline,
+                    proposed=proposed,
+                    dims=dims,
+                    num_nodes=nodes,
+                    baseline_cv=mean_cv[(dims, baseline)],
+                    proposed_cv=mean_cv[(dims, proposed)],
+                    improvement_percent=improvement_percent(
+                        mean_cv[(dims, baseline)], mean_cv[(dims, proposed)]
+                    ),
+                    barrier_baseline_cv=mean_barrier_cv[(dims, baseline)],
+                    barrier_proposed_cv=mean_barrier_cv[(dims, proposed)],
+                    barrier_improvement_percent=improvement_percent(
+                        mean_barrier_cv[(dims, baseline)],
+                        mean_barrier_cv[(dims, proposed)],
+                    ),
+                    paper_baseline_cv=paper_cv,
+                    paper_improvement_percent=paper_imr,
+                )
+            )
+    return rows
 
 
 def format_cv_table(rows: List[CVTableRow]) -> str:

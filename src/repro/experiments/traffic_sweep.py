@@ -16,10 +16,11 @@ Load-axis calibration: see `repro.experiments.config`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.campaigns.aggregate import cells
 from repro.campaigns.spec import CampaignSpec
-from repro.campaigns.store import CampaignStore
+from repro.campaigns.store import CampaignStore, UnitRecord
 from repro.core.registry import algorithm_names
 from repro.experiments.common import campaign, run_units, traffic_units
 from repro.experiments.config import (
@@ -32,6 +33,7 @@ from repro.experiments.config import (
 
 __all__ = [
     "TrafficSweepRow",
+    "aggregate_traffic",
     "traffic_campaign",
     "run_traffic_sweep",
     "format_traffic_sweep",
@@ -110,6 +112,27 @@ def run_traffic_sweep(
     """Regenerate the Fig. 3 (8×8×8) or Fig. 4 (16×16×8) curves."""
     spec = traffic_campaign(figure, scale, seed, loads, algorithms, shards)
     return run_units(figure.lower(), spec, workers=workers, store=store)
+
+
+def aggregate_traffic(records: Sequence[UnitRecord]) -> List[TrafficSweepRow]:
+    """One row per (algorithm, load) point, from its (merged) record."""
+    rows = []
+    for spec, members in cells(records):
+        result = members[0].result
+        rows.append(
+            TrafficSweepRow(
+                algorithm=spec.algorithm,
+                dims=spec.dims,
+                load_messages_per_ms=spec.load,
+                mean_latency_us=result["mean_latency_us"],
+                unicast_mean_latency_us=result["unicast_mean_latency_us"],
+                broadcast_mean_latency_us=result["broadcast_mean_latency_us"],
+                throughput_msgs_per_us=result["throughput_msgs_per_us"],
+                operations=result["operations"],
+                saturated=result["saturated"],
+            )
+        )
+    return rows
 
 
 def format_traffic_sweep(rows: List[TrafficSweepRow]) -> str:

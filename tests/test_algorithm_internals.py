@@ -1,9 +1,10 @@
 """White-box tests of the algorithm constructions.
 
-These pin the *internal* structure DESIGN.md documents: EDN's three
-phases, DB's corner/pillar/row/column anatomy, and AB's control-field
-usage — so a refactor that keeps coverage but breaks the construction
-is caught.
+These pin the *internal* structure the algorithm modules' docstrings
+document (``repro.core.edn``, ``repro.core.deterministic_broadcast``
+and ``repro.core.adaptive_broadcast``): EDN's three phases, DB's
+corner/pillar/row/column anatomy, and AB's control-field usage — so a
+refactor that keeps coverage but breaks the construction is caught.
 """
 
 import math

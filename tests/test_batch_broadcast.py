@@ -576,6 +576,37 @@ def test_zero_port_unit_fails_like_a_negative_one(engine, algorithm):
     assert execute_unit(spec(1), engine=engine).result["delivered"] == 15
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(
+    "params, barrier_cv, barrier_latency",
+    [
+        ({}, 0.06976460768076856, 5.526),
+        ({"max_destinations_per_path": 8}, 0.16956339716187482, 7.371),
+        ({"ports_override": 1}, 0.070462638352075, 9.141),
+    ],
+)
+def test_barrier_twin_measures_the_declared_broadcast(
+    engine, params, barrier_cv, barrier_latency
+):
+    # The barrier twin runs the same AB (destination limit) on the same
+    # port budget as the unit's event-driven broadcast.
+    spec = UnitSpec(
+        experiment="service",
+        kind="broadcast",
+        algorithm="AB",
+        dims=(8, 8, 8),
+        length_flits=100,
+        seed=0,
+        replication=0,
+        params=freeze_params(barrier=True, **params),
+    )
+    result = execute_unit(spec, engine=engine).result
+    assert result["barrier_cv"] == pytest.approx(barrier_cv, rel=1e-12)
+    assert result["barrier_network_latency"] == pytest.approx(
+        barrier_latency, rel=1e-12
+    )
+
+
 @register_unit_runner("engine-probe")
 def _report_engine(spec):
     return {"engine": broadcast_engine()}

@@ -20,8 +20,12 @@ from repro.campaigns import (
     run_campaign,
 )
 from repro.cli import main
-from repro.experiments import campaign_for, run_fig1, run_fig2, run_traffic_sweep
-from repro.experiments.ablations import run_port_count_ablation
+from repro.experiments import (
+    campaign_for,
+    run_experiment,
+    run_fig1,
+    run_traffic_sweep,
+)
 from repro.experiments.common import broadcast_units, random_sources
 from repro.sim.rng import RandomStreams
 
@@ -432,8 +436,8 @@ def test_aggregate_unknown_experiment():
 def test_experiment_rows_identical_across_worker_counts():
     serial = run_fig1(scale="smoke", seed=1)
     assert serial == run_fig1(scale="smoke", seed=1, workers=4)
-    fig2 = run_fig2(scale="smoke", seed=1)
-    assert fig2 == run_fig2(scale="smoke", seed=1, workers=2)
+    fig2 = run_experiment("fig2", "smoke", 1)
+    assert fig2 == run_experiment("fig2", "smoke", 1, workers=2)
 
 
 def test_traffic_sweep_through_campaign_engine():
@@ -452,9 +456,9 @@ def test_traffic_sweep_through_campaign_engine():
 
 
 def test_ablation_through_campaign_engine():
-    rows = run_port_count_ablation(scale="smoke", seed=0, ports=(1, 2))
-    assert len(rows) == 2 * 4
-    assert [r.value for r in rows[:4]] == [1.0] * 4
+    rows, _ = run_experiment("ablation-ports", "smoke", 0)
+    assert len(rows) == 3 * 4
+    assert [r.value for r in rows] == [1.0] * 4 + [2.0] * 4 + [3.0] * 4
     assert all(r.parameter == "ports_per_node" for r in rows)
 
 

@@ -6,6 +6,8 @@ not statistical precision — that is the benchmarks' job.
 """
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -14,15 +16,16 @@ from repro.experiments import (
     PAPER_TABLE1,
     PAPER_TABLE2,
     format_table,
-    run_cv_table,
+    cv_table_campaign,
     run_experiment,
-    run_fig2,
     run_traffic_sweep,
     scale_by_name,
 )
 from repro.experiments.config import FIG1_SIZES, FIG2_SIZES
 from repro.experiments.fig1 import format_fig1, run_fig1
 from repro.experiments.reporting import rows_to_dicts
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 # ----------------------------------------------------------------- config
@@ -62,7 +65,7 @@ def test_fig1_smoke_rows():
 
 # ------------------------------------------------------------------- fig2
 def test_fig2_smoke_rows():
-    rows = run_fig2(scale="smoke", seed=1)
+    rows, _ = run_experiment("fig2", "smoke", 1)
     assert len(rows) == 4 * len(FIG2_SIZES)
     for row in rows:
         assert 0 < row.mean_cv < 1
@@ -71,7 +74,7 @@ def test_fig2_smoke_rows():
 
 # ------------------------------------------------------------------ tables
 def test_cv_table_rows_db():
-    rows = run_cv_table("DB", scale="smoke", seed=1)
+    rows, _ = run_experiment("table1", "smoke", 1)
     assert len(rows) == 2 * len(FIG2_SIZES)
     for row in rows:
         assert row.proposed == "DB"
@@ -82,7 +85,7 @@ def test_cv_table_rows_db():
 
 def test_cv_table_rejects_baselines():
     with pytest.raises(ValueError):
-        run_cv_table("RD")
+        cv_table_campaign("RD")
 
 
 # ------------------------------------------------------------------ traffic
@@ -108,12 +111,11 @@ def test_runner_dispatch_unknown():
         run_experiment("nope")
 
 
-def test_runner_ids_cover_design_doc():
-    expected = {
-        "fig1", "fig2", "fig3", "fig4", "table1", "table2",
-        "ablation-startup", "ablation-length", "ablation-maxdest",
-        "ablation-ports",
-    }
+def test_runner_ids_match_readme_index():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    index = readme.split("## Experiment index", 1)[1].split("\n## ", 1)[0]
+    expected = set(re.findall(r"^\| `([\w-]+)` \|", index, re.MULTILINE))
+    assert len(expected) == 10
     assert expected == set(EXPERIMENTS)
 
 

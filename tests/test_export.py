@@ -125,9 +125,9 @@ def test_save_rows_unknown_format(tmp_path):
 
 
 def test_export_real_experiment_rows(tmp_path):
-    from repro.experiments import run_cv_table
+    from repro.experiments import run_experiment
 
-    rows = run_cv_table("AB", scale="smoke", seed=0)
+    rows, _ = run_experiment("table2", "smoke", 0)
     path = save_rows(rows, tmp_path / "table2.json")
     loaded = load_json_rows(path.read_text())
     assert len(loaded) == len(rows)

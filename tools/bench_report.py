@@ -102,38 +102,36 @@ def _fig1_workloads():
     # the same grids, so one report records the end-to-end engine win
     # alongside the kernel ratios.
     from repro.campaigns.units import set_broadcast_engine
-    from repro.experiments.fig1 import run_fig1
-    from repro.experiments.fig2 import run_fig2
+    from repro.experiments.runner import run_experiment
 
-    def on_event_engine(run):
+    def smoke_rows(experiment):
+        return len(run_experiment(experiment, "smoke", 0)[0])
+
+    def on_event_engine(experiment):
         previous = set_broadcast_engine("event")
         try:
-            return run()
+            return smoke_rows(experiment)
         finally:
             set_broadcast_engine(previous)
 
     return {
         "fig1_smoke": {
-            "fn": lambda: len(run_fig1(scale="smoke", seed=0)),
+            "fn": lambda: smoke_rows("fig1"),
             "rounds": 1,
             "warmup": 0,
         },
         "fig1_smoke_event": {
-            "fn": lambda: len(
-                on_event_engine(lambda: run_fig1(scale="smoke", seed=0))
-            ),
+            "fn": lambda: on_event_engine("fig1"),
             "rounds": 1,
             "warmup": 0,
         },
         "fig2_smoke": {
-            "fn": lambda: len(run_fig2(scale="smoke", seed=0)),
+            "fn": lambda: smoke_rows("fig2"),
             "rounds": 1,
             "warmup": 0,
         },
         "fig2_smoke_event": {
-            "fn": lambda: len(
-                on_event_engine(lambda: run_fig2(scale="smoke", seed=0))
-            ),
+            "fn": lambda: on_event_engine("fig2"),
             "rounds": 1,
             "warmup": 0,
         },

@@ -6,7 +6,9 @@ Scans ``README.md``, ``EXPERIMENTS.md`` and ``docs/*.md`` for
 quote third-party material whose links point outside this repo), skips
 external targets (``http(s)://``, ``mailto:``) and pure in-page anchors
 (``#...``), and verifies every remaining target exists relative to
-the file that links it. Exits non-zero listing each broken link.
+the file that links it.  Also checks that every ``*.md`` name cited in
+``src/**/*.py`` or ``tests/**/*.py`` exists, relative to the repo root
+or to ``docs/``. Exits non-zero listing each broken link or citation.
 
 Run from the repo root (CI's docs job does)::
 
@@ -22,6 +24,7 @@ from typing import Iterable, List, Tuple
 
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 SKIP_PREFIXES = ("http://", "https://", "mailto:")
+MD_CITE_RE = re.compile(r"[\w./-]*\w\.md\b")
 
 
 def markdown_files(root: Path) -> List[Path]:
@@ -48,15 +51,35 @@ def broken_links(files: Iterable[Path]) -> List[Tuple[Path, str]]:
     return broken
 
 
+def missing_md_citations(root: Path) -> List[Tuple[Path, str]]:
+    """``(file, name)`` for each ``*.md`` name a source or test file
+    cites that exists neither under ``root`` nor under ``root/docs``."""
+    bases = (root, root / "docs")
+    missing: List[Tuple[Path, str]] = []
+    for pattern in ("src/**/*.py", "tests/**/*.py"):
+        for source in sorted(root.glob(pattern)):
+            text = source.read_text(encoding="utf-8")
+            for name in sorted(set(MD_CITE_RE.findall(text))):
+                if not any((base / name).exists() for base in bases):
+                    missing.append((source, name))
+    return missing
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent
     files = markdown_files(root)
     broken = broken_links(files)
     for source, target in broken:
         print(f"{source.relative_to(root)}: broken link -> {target}")
-    if broken:
+    missing = missing_md_citations(root)
+    for source, name in missing:
+        print(f"{source.relative_to(root)}: cites missing {name}")
+    if broken or missing:
         return 1
-    print(f"checked {len(files)} markdown file(s): all relative links resolve")
+    print(
+        f"checked {len(files)} markdown file(s) and the .md names cited"
+        " in src/ and tests/: all resolve"
+    )
     return 0
 
 
