@@ -299,13 +299,13 @@ def run_units(
 ) -> List[Any]:
     """Execute a declared campaign and aggregate it into result rows.
 
-    The one shared execution path behind
-    :func:`~repro.experiments.runner.run_experiment`: dispatch through
-    :func:`repro.campaigns.run_campaign` (which honours workers, store
-    backend, cache stores, the broadcast-cell fan-out request
-    ``shards``, the ``trace_dir`` span spool, and the
+    The one shared execution path of every experiment: dispatch
+    through :func:`repro.campaigns.run_campaign` (which honours
+    workers, store backend, cache stores, the broadcast-cell fan-out
+    request ``shards``, the ``trace_dir`` span spool, and the
     ``retries``/``max_failures`` failure budget) and fold the records
-    back into the experiment's row dataclasses.  Rows are identical for any combination of the
+    back into the experiment's row dataclasses through its declared
+    aggregator.  Rows are identical for any combination of the
     dispatch knobs — tracing included.
 
     Units that exhausted their retry budget contribute no rows; each
