@@ -23,25 +23,30 @@ Step 3 — every plane is divided into two halves of rows; each corner
 the number of destination nodes for each message path": the coverage
 worm is split into several bounded-fan-out worms that serialise on the
 corner's two injection ports.
+
+The sends are emitted once, as a walk table of node indices
+(:class:`~repro.core.base.WalkBroadcast`); ``schedule()`` materialises
+it, the step-1 and pillar worms as waypoint sends.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from repro.core.base import BroadcastAlgorithm
-from repro.core.schedule import BroadcastSchedule, BroadcastStep, PathSend
-from repro.network.coordinates import Coordinate
+import numpy as np
+
+from repro.core.base import StepWalks, WalkBroadcast, coded_path_walks
+from repro.network.coordinates import Coordinate, row_major_strides
 from repro.network.message import ControlField
 from repro.network.topology import Mesh
-from repro.routing.cpr import split_deliveries
-from repro.routing.paths import Path
 from repro.routing.turn_model import WestFirst, WestFirstPlanar
+from repro.routing.walks import csr_gather, csr_offsets
 
 __all__ = ["AdaptiveBroadcast"]
 
 
-class AdaptiveBroadcast(BroadcastAlgorithm):
+class AdaptiveBroadcast(WalkBroadcast):
     """AB broadcast on a 2-D or 3-D mesh (radix >= 2 in x and y).
 
     Parameters
@@ -76,6 +81,7 @@ class AdaptiveBroadcast(BroadcastAlgorithm):
             raise ValueError("max_destinations_per_path must be >= 1")
         self.max_destinations_per_path = max_destinations_per_path
         self._kz = mesh.dims[2] if mesh.ndim == 3 else 1
+        self._routing = self.make_routing(mesh)
 
     @classmethod
     def make_routing(cls, topology: Mesh):
@@ -101,140 +107,165 @@ class AdaptiveBroadcast(BroadcastAlgorithm):
         far = self._with_z(kx - 1 - cx, ky - 1 - cy, sz)
         return near, far
 
-    # -- west-first-legal coverage worms -------------------------------------
-    def _half_cover_path(
-        self, corner: Coordinate, rows: List[int], exclude: Coordinate
-    ) -> Optional[Path]:
-        """One west-first-legal worm from ``corner`` covering ``rows``.
+    def _waypoint_sends(
+        self, waypoints: List[Tuple[Coordinate, ...]], control: ControlField
+    ) -> StepWalks:
+        """Waypoint sends that deliver at every waypoint after the first.
 
-        ``rows`` is the contiguous row set of the corner's half plane,
-        with the corner's own row at one end.
+        Each walk is the send's idle-network route: the routing
+        function's first candidate at every hop.
         """
-        kx = self.topology.dims[0]
-        z = corner[2] if self.topology.ndim == 3 else None
-        x0, y0 = corner[0], corner[1]
-        assert rows[0] == y0 or rows[-1] == y0, "corner row must bound its half"
-        ordered = rows if rows[0] == y0 else list(reversed(rows))
-
-        def cell(x: int, y: int) -> Coordinate:
-            return (x, y) if z is None else (x, y, z)
-
-        nodes: List[Coordinate] = []
-        if x0 == 0:
-            # West-edge corner: pure column sweep moving east.
-            sweep_rows = ordered
-            for i, x in enumerate(range(kx)):
-                run = sweep_rows if i % 2 == 0 else list(reversed(sweep_rows))
-                nodes.extend(cell(x, y) for y in run)
-        else:
-            # East-edge corner: one west phase along the corner's own
-            # row, then an eastward column sweep over the other rows.
-            nodes.extend(cell(x, y0) for x in range(kx - 1, -1, -1))
-            rest = ordered[1:]
-            for i, x in enumerate(range(kx)):
-                run = rest if i % 2 == 0 else list(reversed(rest))
-                if run:
-                    nodes.extend(cell(x, y) for y in run)
-        deliveries = [n for n in nodes[1:] if n != exclude]
-        if not deliveries:
-            return None
-        return Path(nodes, deliveries=deliveries)
-
-    def _coverage_sends(
-        self, corner: Coordinate, rows: List[int], exclude: Coordinate
-    ) -> List[PathSend]:
-        path = self._half_cover_path(corner, rows, exclude)
-        if path is None:
-            return []
-        pieces = (
-            [path]
-            if self.max_destinations_per_path is None
-            else split_deliveries(path, self.max_destinations_per_path)
+        dims = self.topology.dims
+        nodes, deliver, ptr, choices = [], [], [0], []
+        for points in waypoints:
+            route, first_choice = self._routing.idle_route(points)
+            targets = set(points[1:])
+            nodes += route
+            deliver += [n in targets for n in route]
+            ptr.append(len(nodes))
+            choices.append(first_choice)
+        strides = np.asarray(row_major_strides(dims), dtype=np.int64)
+        return StepWalks(
+            np.asarray(ptr, dtype=np.int64),
+            np.asarray(nodes, dtype=np.int64).reshape(-1, len(dims)) @ strides,
+            np.asarray(deliver, dtype=bool),
+            control,
+            np.asarray(choices, dtype=bool),
         )
-        return [
-            PathSend(
-                source=corner,
-                deliveries=piece.deliveries,
-                path=piece,
-                control=ControlField.PASS_AND_RECEIVE,
-            )
-            for piece in pieces
+
+    def _split(self, walks: StepWalks) -> StepWalks:
+        """Bound every worm's deliveries by ``max_destinations_per_path``.
+
+        A worm with more deliveries is cut into consecutive pieces of at
+        most that many, each launched from the same corner along the
+        prefix of the walk that ends at its last delivery
+        (:func:`~repro.routing.cpr.split_deliveries`).
+        """
+        limit = self.max_destinations_per_path
+        ptr, node, deliver = walks.ptr, walks.node, walks.deliver
+        count = np.add.reduceat(deliver, ptr[:-1], dtype=np.int64)
+        if limit is None or (count <= limit).all():
+            return walks
+        pieces = np.where(count > limit, -(-count // limit), 1)
+        worm = np.repeat(np.arange(count.size), pieces)
+        lo_rank = csr_offsets(pieces) * limit
+        # Flat position of each worm's deliveries, and of each piece's
+        # last one; a worm that is not cut keeps its whole walk.
+        first_target = np.cumsum(count) - count
+        at = np.flatnonzero(deliver)
+        last = at[
+            first_target[worm] + np.minimum(lo_rank + limit, count[worm]) - 1
         ]
+        length = np.where(
+            count[worm] > limit, last - ptr[worm] + 1, np.diff(ptr)[worm]
+        )
+        flat = csr_gather(ptr[worm], length)
+        rank = np.cumsum(deliver) - 1 - np.repeat(first_target, np.diff(ptr))
+        piece_ptr = np.zeros(length.size + 1, dtype=np.int64)
+        np.cumsum(length, out=piece_ptr[1:])
+        return StepWalks(
+            piece_ptr,
+            node[flat],
+            deliver[flat] & (rank[flat] >= np.repeat(lo_rank, length)),
+            walks.control,
+        )
 
     # -- schedule -----------------------------------------------------------
-    def build_schedule(self, source: Coordinate) -> BroadcastSchedule:
+    def _walk_steps(self, source: Coordinate) -> List[StepWalks]:
+        """The three steps; one with nothing to send is dropped.
+
+        Step-1 and pillar worms are waypoint sends, their walks the
+        idle-network routes; every coverage walk is its corner's cached
+        plane-0 walk shifted to its plane.
+        """
         mesh: Mesh = self.topology
-        kx, ky = mesh.dims[0], mesh.dims[1]
         kz = self._kz
         sz = source[2] if mesh.ndim == 3 else 0
+        strides = row_major_strides(mesh.dims)
+        source_idx = sum(c * s for c, s in zip(source, strides))
         near, far = self._plane_corners(source)
 
-        raw_steps: List[List[PathSend]] = []
+        steps: List[StepWalks] = []
 
         # Step 1: source -> nearest and opposite plane corners (adaptive).
-        step1: List[PathSend] = []
-        for corner in (near, far):
-            if corner != source:
-                step1.append(
-                    PathSend(
-                        source=source,
-                        deliveries=frozenset({corner}),
-                        waypoints=(source, corner),
-                        control=ControlField.PASS_AND_RECEIVE,
-                    )
-                )
-        raw_steps.append(step1)
+        steps.append(self._waypoint_sends(
+            [(source, corner) for corner in (near, far) if corner != source],
+            ControlField.PASS_AND_RECEIVE,
+        ))
 
-        # Step 2: corner pillars to the corresponding corners of all planes.
+        # Step 2: corner pillars to the corresponding corners of all
+        # planes, downward then upward from the source plane.
         if kz > 1:
-            step2: List[PathSend] = []
-            for corner in (near, far):
-                step2.extend(self._pillar_sends(corner, sz, kz, source))
-            raw_steps.append(step2)
+            pillars = [
+                tuple(
+                    (corner[0], corner[1], z)
+                    for z in range(sz, z_end + step, step)
+                )
+                for corner in (near, far)
+                for z_end, step in ((0, -1), (kz - 1, 1))
+                if z_end != sz
+            ]
+            steps.append(self._waypoint_sends(
+                pillars, ControlField.RECEIVE_AND_REPLICATE
+            ))
 
         # Step 3: per plane, each corner covers its half of the rows.
-        half = ky // 2
-        step3: List[PathSend] = []
-        for z in range(kz):
-            for corner2d in (near, far):
-                corner = self._with_z(corner2d[0], corner2d[1], z)
-                if corner2d[1] == 0:
-                    rows = list(range(0, half))
-                else:
-                    rows = list(range(half, ky))
-                step3.extend(self._coverage_sends(corner, rows, source))
-        raw_steps.append(step3)
+        ptr, node = _coverage_walks(mesh.dims, near[0], near[1])
+        steps.append(self._split(coded_path_walks(
+            ptr, node, source_idx, ControlField.PASS_AND_RECEIVE
+        )))
+        return [step for step in steps if step.ptr.size > 1]
 
-        steps = [
-            BroadcastStep(index=i + 1, sends=sends)
-            for i, sends in enumerate(raw_steps)
-            if sends
-        ]
-        # Re-index after dropping empty steps (degenerate meshes).
-        steps = [
-            BroadcastStep(index=i + 1, sends=s.sends) for i, s in enumerate(steps)
-        ]
-        return BroadcastSchedule(algorithm=self.name, source=source, steps=steps)
 
-    def _pillar_sends(
-        self, corner: Coordinate, sz: int, kz: int, exclude: Coordinate
-    ) -> List[PathSend]:
-        """Step-2 worms from a source-plane corner along its z-pillar."""
-        out: List[PathSend] = []
-        x, y = corner[0], corner[1]
-        for z_end in (0, kz - 1):
-            if (z_end < sz and sz > 0) or (z_end > sz and sz < kz - 1):
-                step = -1 if z_end < sz else 1
-                nodes = [(x, y, z) for z in range(sz, z_end + step, step)]
-                deliveries = [n for n in nodes[1:] if n != exclude]
-                if not deliveries:
-                    continue
-                out.append(
-                    PathSend(
-                        source=corner,
-                        deliveries=frozenset(deliveries),
-                        waypoints=tuple(nodes),
-                        control=ControlField.RECEIVE_AND_REPLICATE,
-                    )
-                )
-        return out
+@lru_cache(maxsize=None)
+def _coverage_walks(
+    dims: Tuple[int, ...], cx: int, cy: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Step-3 walks ``(ptr, node)`` when the near corner is ``(cx, cy)``.
+
+    Plane by plane, the near corner's walk and then the opposite
+    corner's.  Cached per near corner (four per mesh), read-only.
+    """
+    kx, ky = dims[0], dims[1]
+    kz = dims[2] if len(dims) == 3 else 1
+    walks = [
+        _half_cover_walk(dims, x0, y0)
+        for x0, y0 in ((cx, cy), (kx - 1 - cx, ky - 1 - cy))
+    ]
+    planes = np.arange(kz, dtype=np.int64) * row_major_strides(dims)[-1]
+    ptr = np.zeros(2 * kz + 1, dtype=np.int64)
+    np.cumsum(np.tile([walk.size for walk in walks], kz), out=ptr[1:])
+    node = np.concatenate(
+        [walk + planes[:, None] for walk in walks], axis=1
+    ).ravel()
+    ptr.setflags(write=False)
+    node.setflags(write=False)
+    return ptr, node
+
+
+def _half_cover_walk(dims: Tuple[int, ...], x0: int, y0: int) -> np.ndarray:
+    """One west-first-legal walk from corner ``(x0, y0)`` over its half.
+
+    A south corner (``y0 = 0``) covers rows ``0 .. ky//2 - 1``, a north
+    one the rows above; the walk starts along the corner's own row.
+    Node indices are those of plane 0; adding a plane's z stride moves
+    the walk there.
+    """
+    kx, ky = dims[0], dims[1]
+    sx, sy = row_major_strides(dims)[:2]
+    half = ky // 2
+    rows = range(0, half) if y0 == 0 else range(half, ky)
+    ordered = rows if y0 == 0 else rows[::-1]
+    nodes: List[int] = []
+    if x0 == 0:
+        # West-edge corner: pure column sweep moving east.
+        sweep = ordered
+    else:
+        # East-edge corner: one west phase along the corner's own row,
+        # then an eastward column sweep over the other rows.
+        nodes.extend(x * sx + y0 * sy for x in range(kx - 1, -1, -1))
+        sweep = ordered[1:]
+    for x in range(kx):
+        run = sweep if x % 2 == 0 else sweep[::-1]
+        nodes.extend(x * sx + y * sy for y in run)
+    return np.asarray(nodes, dtype=np.int64)

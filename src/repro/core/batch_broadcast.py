@@ -31,14 +31,13 @@ queues there and the sweep models that FIFO handover exactly (see
 :mod:`repro.sim.batch`), so all four algorithms batch every Fig. 1
 source.
 
-RD and EDN are made only of dimension-ordered unicasts
-(:class:`~repro.core.base.UnicastBroadcast`): they plan straight from
-their integer unicast table through
-:func:`~repro.sim.batch.plan_unicasts`, and build no
+All four algorithms derive from :class:`~repro.core.base.WalkBroadcast`:
+they plan straight from their integer walk table through
+:func:`~repro.sim.batch.plan_walks`, and build no
 :class:`~repro.core.schedule.PathSend` or
 :class:`~repro.routing.paths.Path` unless a source falls back — its
-object schedule is built then, for the event engine alone.  DB and AB
-(coded paths, waypoints) plan from ``schedule()`` through
+object schedule is built then, for the event engine alone.  A schedule
+with no table (one built by hand) plans through
 :func:`~repro.sim.batch.plan_broadcast`, which stays the oracle the
 table path is tested against.
 
@@ -51,13 +50,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.base import UnicastBroadcast
+from repro.core.base import WalkBroadcast
 from repro.core.executors import BroadcastOutcome, EventDrivenExecutor
 from repro.core.registry import make_algorithm
 from repro.core.schedule import BroadcastSchedule
 from repro.network.network import NetworkConfig, NetworkSimulator
 from repro.network.topology import Mesh
-from repro.sim.batch import plan_broadcast, plan_unicasts, sweep_broadcasts
+from repro.sim.batch import plan_broadcast, plan_walks, sweep_broadcasts
 
 __all__ = ["run_batch_broadcasts"]
 
@@ -142,16 +141,16 @@ def run_batch_broadcasts(
 
     if not faults:
         coords = list(mesh.nodes())
-        unicasts = isinstance(algorithm, UnicastBroadcast)
-        if not unicasts:
+        tabled = isinstance(algorithm, WalkBroadcast)
+        if not tabled:
             node_index = {coord: i for i, coord in enumerate(coords)}
         plans = []
         plan_source = []
         for idx, source in enumerate(order):
-            if unicasts:
-                plan = plan_unicasts(
+            if tabled:
+                plan = plan_walks(
                     algorithm.name, source, mesh.dims,
-                    algorithm.unicast_table(source), algorithm.step_count(),
+                    algorithm.walk_table(source), algorithm.step_count(),
                 )
             else:
                 schedules[idx] = algorithm.schedule(source)
@@ -174,13 +173,13 @@ def run_batch_broadcasts(
             for row, (plan, idx) in enumerate(zip(plans, plan_source)):
                 if not swept.ok[row]:
                     continue
-                times = swept.node_time[row]
                 # The event-driven arrivals dict fills in hook order,
                 # which the sweep proved and reports per source.
-                arrivals = {
-                    coords[i]: float(times[i])
-                    for i in swept.hook_order[row].tolist()
-                }
+                hooked = swept.hook_order[row]
+                arrivals = dict(zip(
+                    map(coords.__getitem__, hooked.tolist()),
+                    swept.node_time[row, hooked].tolist(),
+                ))
                 outcomes[idx] = BroadcastOutcome(
                     algorithm=plan.algorithm,
                     source=plan.source,

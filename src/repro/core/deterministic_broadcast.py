@@ -23,25 +23,28 @@ Steps that have nothing to do on degenerate dimensions (``kz = 1``,
 ``2 + [kz > 1] + [ky > 2]`` — 4 on all the paper's 3-D configurations.
 Every worm follows a dimension-ordered route; the source needs 2
 injection ports, every other sender 1.
+
+The sends are emitted once, as a walk table of node indices
+(:class:`~repro.core.base.WalkBroadcast`), each step's straight worms
+drawn together; ``schedule()`` materialises it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-from repro.core.base import BroadcastAlgorithm
-from repro.core.schedule import BroadcastSchedule, BroadcastStep, PathSend
-from repro.network.coordinates import Coordinate
+import numpy as np
+
+from repro.core.base import StepWalks, WalkBroadcast, coded_path_walks
+from repro.network.coordinates import Coordinate, row_major_strides
 from repro.network.message import ControlField
-from repro.network.topology import Mesh
-from repro.routing.cpr import straight_line_path
-from repro.routing.dimension_ordered import DimensionOrdered
-from repro.routing.paths import Path
+from repro.routing.dimension_ordered import unicast_walks
+from repro.routing.walks import straight_walks
 
 __all__ = ["DeterministicBroadcast"]
 
 
-class DeterministicBroadcast(BroadcastAlgorithm):
+class DeterministicBroadcast(WalkBroadcast):
     """DB broadcast on a 2-D or 3-D mesh (radix >= 2 in x and y).
 
     Examples
@@ -63,117 +66,78 @@ class DeterministicBroadcast(BroadcastAlgorithm):
             raise ValueError(f"DB supports 2-D/3-D meshes, got {mesh.ndim}-D")
         if mesh.dims[0] < 2 or mesh.dims[1] < 2:
             raise ValueError("DB needs radix >= 2 in the x and y dimensions")
-        self._dor = DimensionOrdered(mesh)
         self._kz = mesh.dims[2] if mesh.ndim == 3 else 1
 
     def step_count(self) -> int:
         ky = self.topology.dims[1]
         return 2 + (1 if self._kz > 1 else 0) + (1 if ky > 2 else 0)
 
-    # -- helpers ----------------------------------------------------------
-    def _with_z(self, x: int, y: int, z: int) -> Coordinate:
-        return (x, y) if self.topology.ndim == 2 else (x, y, z)
-
-    def _multidest(
-        self,
-        src: Coordinate,
-        axis: int,
-        end: int,
-        exclude: Coordinate,
-        control: ControlField,
-    ) -> Optional[PathSend]:
-        """A straight coded-path worm along ``axis``, skipping ``exclude``."""
-        if end == src[axis]:
-            return None
-        path = straight_line_path(src, axis, end)
-        deliveries = frozenset(path.deliveries) - {exclude}
-        if not deliveries:
-            return None
-        return PathSend(
-            source=src,
-            deliveries=deliveries,
-            path=Path(path.nodes, deliveries=sorted(deliveries)),
-            control=control,
-        )
-
     # -- schedule -----------------------------------------------------------
-    def build_schedule(self, source: Coordinate) -> BroadcastSchedule:
-        mesh: Mesh = self.topology
-        kx, ky = mesh.dims[0], mesh.dims[1]
-        kz = self._kz
-        sz = source[2] if mesh.ndim == 3 else 0
-        corner_a = self._with_z(0, 0, 0)
-        corner_b = self._with_z(kx - 1, ky - 1, kz - 1)
+    def _walk_steps(self, source: Coordinate) -> List[StepWalks]:
+        """The four steps, each family of straight worms built at once.
 
-        raw_steps: List[List[PathSend]] = []
+        Every coded-path worm is a straight line that delivers to every
+        node after its launcher but the source; a line left with nothing
+        to deliver is dropped.
+        """
+        dims = self.topology.dims
+        kx, ky, kz = dims[0], dims[1], self._kz
+        strides = row_major_strides(dims)
+        sx, sy = strides[0], strides[1]
+        sz = strides[2] if len(dims) == 3 else 0
+        source_idx = sum(c * s for c, s in zip(source, strides))
+        corner_b = (kx - 1) * sx + (ky - 1) * sy + (kz - 1) * sz
+        planes = np.arange(kz, dtype=np.int64) * sz
+        steps: List[StepWalks] = []
+
+        def lines(start, stride, hops, control):
+            ptr, node = straight_walks(start, stride, hops)
+            return coded_path_walks(ptr, node, source_idx, control)
 
         # Step 1: source -> the two opposite corners of the whole mesh.
-        step1: List[PathSend] = []
-        for corner in (corner_a, corner_b):
-            if corner != source:
-                nodes = self._dor.path(source, corner)
-                step1.append(
-                    PathSend(
-                        source=source,
-                        deliveries=frozenset({corner}),
-                        path=Path(nodes, deliveries=[corner]),
-                        control=ControlField.PASS_AND_RECEIVE,
-                    )
-                )
-        raw_steps.append(step1)
+        corners = np.asarray(
+            [c for c in (0, corner_b) if c != source_idx], dtype=np.int64
+        )
+        ptr, node = unicast_walks(
+            dims, np.full(corners.size, source_idx, dtype=np.int64), corners
+        )
+        deliver = np.zeros(node.size, dtype=bool)
+        deliver[ptr[1:] - 1] = True
+        steps.append(
+            StepWalks(ptr, node, deliver, ControlField.PASS_AND_RECEIVE)
+        )
 
         # Step 2: corner pillars hand every plane two opposite corners.
         if kz > 1:
-            step2: List[PathSend] = []
-            for corner, end_z in ((corner_a, kz - 1), (corner_b, 0)):
-                send = self._multidest(
-                    corner, axis=2, end=end_z, exclude=source,
-                    control=ControlField.RECEIVE_AND_REPLICATE,
-                )
-                if send is not None:
-                    step2.append(send)
-            raw_steps.append(step2)
+            steps.append(lines(
+                [0, corner_b], [sz, -sz], kz - 1,
+                ControlField.RECEIVE_AND_REPLICATE,
+            ))
 
-        # Step 3: per plane, the two corners cover their boundary rows.
-        step3: List[PathSend] = []
-        for z in range(kz):
-            south = self._with_z(0, 0, z)
-            north = self._with_z(kx - 1, ky - 1, z)
-            for holder, end_x in ((south, kx - 1), (north, 0)):
-                send = self._multidest(
-                    holder, axis=0, end=end_x, exclude=source,
-                    control=ControlField.RECEIVE_AND_REPLICATE,
-                )
-                if send is not None:
-                    step3.append(send)
-        raw_steps.append(step3)
+        # Step 3: per plane, the two corners cover their boundary rows:
+        # (0, 0, z) eastward, then (kx-1, ky-1, z) westward.
+        north = (kx - 1) * sx + (ky - 1) * sy
+        steps.append(lines(
+            np.stack((planes, planes + north), axis=1).ravel(),
+            np.tile([sx, -sx], kz), kx - 1,
+            ControlField.RECEIVE_AND_REPLICATE,
+        ))
 
-        # Step 4: boundary rows fill the interior columns toward the middle.
+        # Step 4: boundary rows fill the interior columns toward the
+        # middle; per plane and column, south covers rows 1..mid, then
+        # north covers mid+1..ky-2.
         if ky > 2:
-            mid = (ky - 1) // 2  # south covers rows 1..mid, north mid+1..ky-2
-            step4: List[PathSend] = []
-            for z in range(kz):
-                for x in range(kx):
-                    if mid >= 1:
-                        send = self._multidest(
-                            self._with_z(x, 0, z), axis=1, end=mid,
-                            exclude=source,
-                            control=ControlField.PASS_AND_RECEIVE,
-                        )
-                        if send is not None:
-                            step4.append(send)
-                    if mid + 1 <= ky - 2:
-                        send = self._multidest(
-                            self._with_z(x, ky - 1, z), axis=1, end=mid + 1,
-                            exclude=source,
-                            control=ControlField.PASS_AND_RECEIVE,
-                        )
-                        if send is not None:
-                            step4.append(send)
-            raw_steps.append(step4)
-
-        steps = [
-            BroadcastStep(index=i + 1, sends=sends)
-            for i, sends in enumerate(raw_steps)
-        ]
-        return BroadcastSchedule(algorithm=self.name, source=source, steps=steps)
+            mid = (ky - 1) // 2
+            columns = (planes[:, None] + np.arange(kx) * sx).ravel()
+            if mid + 1 <= ky - 2:
+                start = np.stack(
+                    (columns, columns + (ky - 1) * sy), axis=1
+                ).ravel()
+                stride = np.tile([sy, -sy], columns.size)
+                hops = np.tile([mid, ky - 2 - mid], columns.size)
+            else:
+                start, stride, hops = columns, sy, mid
+            steps.append(
+                lines(start, stride, hops, ControlField.PASS_AND_RECEIVE)
+            )
+        return steps

@@ -14,7 +14,7 @@ livelock is impossible.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.network.coordinates import Coordinate
 from repro.network.topology import Topology
@@ -94,6 +94,33 @@ class RoutingFunction:
                     f"{self.name}: no progress routing {source} -> {target}"
                 )
         return route
+
+    def idle_route(
+        self, waypoints: Sequence[Coordinate]
+    ) -> Tuple[List[Coordinate], bool]:
+        """The route a waypoint send takes on an idle network.
+
+        Each leg follows the first candidate at every hop — what
+        :meth:`path` returns, and what the least-loaded choice picks
+        while that candidate's channel is idle.  Also reports whether
+        the first hop had more than one candidate.  Raises
+        :class:`RoutingError` where a hop has no legal move.
+        """
+        nodes = [waypoints[0]]
+        current = waypoints[0]
+        first_choice = False
+        for target in waypoints[1:]:
+            while current != target:
+                options = self.candidates(current, target)
+                if not options:
+                    raise RoutingError(
+                        f"{self.name}: no legal move {current} -> {target}"
+                    )
+                if len(nodes) == 1:
+                    first_choice = len(options) > 1
+                current = options[0]
+                nodes.append(current)
+        return nodes, first_choice
 
     def is_legal_hop(
         self, current: Coordinate, nxt: Coordinate, target: Coordinate

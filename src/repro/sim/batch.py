@@ -54,9 +54,10 @@ Adaptive sends
 A waypoint send (AB's step-1 and pillar worms) picks, at every hop,
 the least-loaded channel its routing function allows; it replaces its
 pick only on a *strictly* smaller load, so an idle first candidate
-wins whatever the others carry.  :func:`plan_broadcast` therefore
-resolves each leg with the first candidate at every hop — the route
-``routing.path(a, b)`` takes — and the proof obligation is that this
+wins whatever the others carry.  Both planners therefore take the
+route with the first candidate at every hop
+(:meth:`~repro.routing.base.RoutingFunction.idle_route`, the route
+``routing.path(a, b)`` takes), and the proof obligation is that this
 channel is idle when the choice is made.  For a later hop the choice
 is made at the header's arrival, the instant the worm claims the
 channel, so the occupancy check below already proves it: any other
@@ -121,15 +122,20 @@ Anything that fails these checks is reported through the ``ok`` mask of
 event-driven engine (see :mod:`repro.core.batch_broadcast`), mirroring
 the batched-walk guard of :mod:`repro.network.wormhole`.
 
-Two planners feed the sweep.  :func:`plan_broadcast` flattens any
-object schedule (DB's coded paths, AB's waypoints).  RD and EDN send
-only unicasts on dimension-ordered routes, so their recursions emit a
-per-step table of ``(sender, receiver)`` node indices instead, and
-:func:`plan_unicasts` builds the same plan from it with numpy: routes
-from per-axis signed strides
-(:func:`~repro.routing.dimension_ordered.unicast_walks`), the static
-checks above on the index arrays.  A source either planner declines,
-or the sweep hands back, runs event-driven on its object schedule.
+One planner serves every registered algorithm.  Each emits its sends
+once, as a walk table (:class:`~repro.core.base.WalkTable`): per
+worm, in schedule order, a CSR walk of row-major node indices
+(launcher first), a delivery mask over it, and whether its first hop is
+an adaptive choice.  RD and EDN route their ``(sender, receiver)``
+pairs with :func:`~repro.routing.dimension_ordered.unicast_walks`, DB
+draws its straight coded paths per step family, and AB resolves its
+waypoint sends to the idle-network route above.
+:func:`plan_walks` builds the :class:`BatchPlan` from that table with
+numpy and makes the static checks above on the index arrays.
+:func:`plan_broadcast` flattens an object schedule instead: it is the
+oracle the table path is tested against, and it plans a schedule that
+has no table (one built by hand).  A source either planner declines, or
+the sweep hands back, runs event-driven on its object schedule.
 """
 
 from __future__ import annotations
@@ -141,13 +147,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.network.coordinates import row_major_strides
-from repro.routing.dimension_ordered import unicast_walks
+from repro.routing.base import RoutingError
+from repro.routing.walks import csr_gather, csr_offsets
 
 __all__ = [
     "BatchPlan",
     "BatchSweepResult",
     "plan_broadcast",
-    "plan_unicasts",
+    "plan_walks",
     "sweep_broadcasts",
 ]
 
@@ -156,7 +163,7 @@ __all__ = [
 class BatchPlan:
     """One broadcast schedule flattened into index space.
 
-    Built by :func:`plan_broadcast` or :func:`plan_unicasts`; consumed by
+    Built by :func:`plan_broadcast` or :func:`plan_walks`; consumed by
     :func:`sweep_broadcasts`.  All arrays are structure-of-arrays views
     of the schedule: worms are stored launcher-major (a *launcher* is a
     sending node) in launch order, deliveries and channels hang off
@@ -218,30 +225,6 @@ class BatchSweepResult:
     hook_order: List[np.ndarray]
 
 
-def _route(routing, waypoints) -> Tuple[Optional[list], bool]:
-    """Resolve a waypoint send on an idle network.
-
-    Each leg follows ``routing``'s first candidate at every hop — what
-    ``routing.path(a, b)`` returns and what the least-loaded choice
-    picks while that candidate is idle.  Also reports whether the
-    first hop had more than one candidate.  ``None`` when a hop has no
-    legal move (the event engine raises there).
-    """
-    nodes = [waypoints[0]]
-    current = waypoints[0]
-    first_choice = False
-    for target in waypoints[1:]:
-        while current != target:
-            options = routing.candidates(current, target)
-            if not options:
-                return None, False
-            if len(nodes) == 1:
-                first_choice = len(options) > 1
-            current = options[0]
-            nodes.append(current)
-    return nodes, first_choice
-
-
 def plan_broadcast(
     schedule,
     node_index: Dict[Tuple[int, ...], int],
@@ -287,9 +270,10 @@ def plan_broadcast(
             elif routing is None:
                 return None  # waypoint send with nothing to resolve it
             else:
-                nodes, first_choice = _route(routing, send.waypoints)
-                if nodes is None:
-                    return None
+                try:
+                    nodes, first_choice = routing.idle_route(send.waypoints)
+                except RoutingError:
+                    return None  # the event engine raises at that hop
             remaining = set(send.deliveries)
             first_hop = -1
             feeds = False
@@ -356,59 +340,69 @@ def plan_broadcast(
     )
 
 
-def plan_unicasts(
+def plan_walks(
     algorithm: str,
     source: Sequence[int],
     dims: Sequence[int],
-    steps: Sequence[Tuple[np.ndarray, np.ndarray]],
+    table,
     step_count: Optional[int] = None,
 ) -> Optional[BatchPlan]:
-    """Plan a broadcast of dimension-ordered unicasts from its table.
+    """Plan a broadcast from its walk table.
 
-    ``steps`` holds, per message-passing step, ``(senders, receivers)``:
-    two equal-length integer arrays of row-major node indices, one send
-    per position, in schedule order.  The result equals, field for
-    field, what :func:`plan_broadcast` makes of the object schedule that
-    the table describes (one single-delivery :class:`PathSend` per pair
-    on its dimension-ordered route), without building that schedule.
+    ``table`` is a :class:`~repro.core.base.WalkTable`: per worm, in
+    schedule order, a CSR walk of row-major node indices (launcher
+    first), a delivery mask over it and whether its first hop is an
+    adaptive choice.  The result equals, field for field, what
+    :func:`plan_broadcast` makes of the object schedule the table
+    materialises into, without building that schedule.
 
-    The checks are the ones ``BroadcastAlgorithm.schedule`` and
-    :func:`plan_broadcast` make.  A step count other than
-    ``step_count`` raises ``AssertionError`` and a self-send raises
-    ``ValueError``, as building the schedule would.  ``None`` means the
-    table is statically ineligible: nothing to send, a node delivered
-    twice, the source delivered or sending nothing, or another launcher
-    never delivered to.
+    The checks are the ones ``BroadcastAlgorithm.schedule``,
+    :class:`~repro.core.schedule.PathSend` and :func:`plan_broadcast`
+    make.  A step count other than ``step_count`` raises
+    ``AssertionError``; a walk node off the mesh, a worm that delivers
+    nowhere or one that delivers to its own launcher raises
+    ``ValueError``.  ``None`` means the table is statically ineligible:
+    nothing to send, a node delivered twice, the source delivered or
+    sending nothing, or another launcher never delivered to.
     """
-    if step_count is not None and len(steps) != step_count:
+    steps = table.step_ptr.size - 1
+    if step_count is not None and steps != step_count:
         raise AssertionError(
-            f"{algorithm}: built {len(steps)} steps, closed form"
+            f"{algorithm}: built {steps} steps, closed form"
             f" says {step_count} — constructor bug"
         )
     n_nodes = int(np.prod(dims))
     source = tuple(int(c) for c in source)
     source_idx = sum(c * s for c, s in zip(source, row_major_strides(dims)))
-    if not steps:
-        return None
-    src = np.concatenate([np.asarray(s, dtype=np.int64) for s, _ in steps])
-    dst = np.concatenate([np.asarray(d, dtype=np.int64) for _, d in steps])
-    if src.size == 0:
+    walk_ptr, walk_node, deliver = table.walk_ptr, table.walk_node, table.deliver
+    n_worms = walk_ptr.size - 1
+    if n_worms == 0:
         return None  # degenerate: nothing to send, nothing to measure
-    if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n_nodes:
+    if walk_node.min() < 0 or walk_node.max() >= n_nodes:
         raise ValueError(f"a send leaves the {tuple(dims)} mesh")
-    if (src == dst).any():
+    length = np.diff(walk_ptr)
+    if (length < 1).any():
+        raise ValueError("a walk must start at its launcher")
+    src = walk_node[walk_ptr[:-1]]
+    deliveries = np.add.reduceat(deliver, walk_ptr[:-1], dtype=np.int64)
+    if not deliveries.all():
+        raise ValueError("PathSend must deliver to at least one node")
+    dst = walk_node[deliver]
+    if (dst == np.repeat(src, deliveries)).any():
         raise ValueError("a send cannot deliver to its own source")
-    if np.unique(dst).size != dst.size:
+    delivered = np.bincount(dst, minlength=n_nodes)
+    if delivered.max() > 1:
         return None  # delivered twice: hook order unclear
-    if (dst == source_idx).any():
+    if delivered[source_idx]:
         return None  # the source must never be an arrival
-    if not (src == source_idx).any():
+    launches = np.bincount(src, minlength=n_nodes) > 0
+    if not launches[source_idx]:
         return None  # the sweep starts every broadcast at its source
+    if np.count_nonzero(launches & (delivered == 0)) > 1:
+        return None  # launcher unreachable: the DES would stall
     launchers, first, inverse = np.unique(
         src, return_index=True, return_inverse=True
     )
-    if not np.isin(launchers[launchers != source_idx], dst).all():
-        return None  # launcher unreachable: the DES would stall
 
     # Launcher-major worm order: launchers by first launch, each one's
     # worms in schedule order.
@@ -417,27 +411,33 @@ def plan_unicasts(
     rank[by_first] = np.arange(by_first.size)
     worm_launcher = rank[inverse]
     order = np.argsort(worm_launcher, kind="stable")
-    src, dst = src[order], dst[order]
     launcher_ptr = np.zeros(launchers.size + 1, dtype=np.int64)
     np.cumsum(
         np.bincount(worm_launcher, minlength=launchers.size),
         out=launcher_ptr[1:],
     )
 
-    walk_ptr, walk_node = unicast_walks(dims, src, dst)
-    hops = np.diff(walk_ptr) - 1
+    length, deliveries = length[order], deliveries[order]
+    flat = csr_gather(walk_ptr[:-1][order], length)
+    walk_node, deliver = walk_node[flat], deliver[flat]
+    hops = length - 1
+    deliv_ptr = np.zeros(n_worms + 1, dtype=np.int64)
+    np.cumsum(deliveries, out=deliv_ptr[1:])
+    deliv_hop = csr_offsets(length)[deliver]
+    deliv_node = walk_node[deliver]
+    feeds = launches[deliv_node]
     tail = np.ones(walk_node.size, dtype=bool)
-    tail[walk_ptr[1:] - 1] = False  # a walk's last node starts no hop
+    tail[np.cumsum(length) - 1] = False  # a walk's last node starts no hop
     hop_from = np.flatnonzero(tail)
     chan_key = walk_node[hop_from] * n_nodes + walk_node[hop_from + 1]
-    chan_ptr = np.zeros(src.size + 1, dtype=np.int64)
+    chan_ptr = np.zeros(n_worms + 1, dtype=np.int64)
     np.cumsum(hops, out=chan_ptr[1:])
     # A first channel leaves its launcher, so equal first channels mean
     # one launcher: each worm waits for the latest earlier worm on it.
     first_key = chan_key[chan_ptr[:-1]]
     by_key = np.argsort(first_key, kind="stable")
     same = first_key[by_key[1:]] == first_key[by_key[:-1]]
-    worm_wait = np.full(src.size, -1, dtype=np.int64)
+    worm_wait = np.full(n_worms, -1, dtype=np.int64)
     worm_wait[by_key[1:][same]] = by_key[:-1][same]
 
     return BatchPlan(
@@ -445,33 +445,20 @@ def plan_unicasts(
         source=source,
         source_idx=source_idx,
         n_nodes=n_nodes,
-        total_sends=int(src.size),
+        total_sends=n_worms,
         launcher_nodes=launchers[by_first],
         launcher_ptr=launcher_ptr,
         worm_hops=hops,
-        worm_first_delivery_hop=hops,
-        worm_feeds=np.isin(dst, launchers),
-        deliv_ptr=np.arange(src.size + 1, dtype=np.int64),
-        deliv_hop=hops,
-        deliv_node=dst,
+        worm_first_delivery_hop=deliv_hop[deliv_ptr[:-1]],
+        worm_feeds=np.logical_or.reduceat(feeds, deliv_ptr[:-1]),
+        deliv_ptr=deliv_ptr,
+        deliv_hop=deliv_hop,
+        deliv_node=deliv_node,
         chan_ptr=chan_ptr,
         chan_key=chan_key,
         worm_wait=worm_wait,
-        worm_first_choice=np.zeros(src.size, dtype=bool),
+        worm_first_choice=table.first_choice[order],
     )
-
-
-def _csr_offsets(count: np.ndarray) -> np.ndarray:
-    """Position of each flat element inside its CSR slice."""
-    total = int(count.sum())
-    return np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(count) - count, count
-    )
-
-
-def _csr_gather(start: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Flat indices of the CSR slices ``start[i] : start[i]+count[i]``."""
-    return _csr_offsets(count) + np.repeat(start, count)
 
 
 def _concat(plans, field, shift=None):
@@ -629,7 +616,7 @@ def sweep_broadcasts(
 
         dcount = deliv_count[w]
         drow = np.repeat(rows_idx, dcount)
-        dflat = _csr_gather(deliv_start[w], dcount)
+        dflat = csr_gather(deliv_start[w], dcount)
         arrival_t = times[drow, deliv_hop[dflat]] + body
         node_time[deliv_gnode[dflat]] = arrival_t
         # The DES clock ends at the last delivery's hold, or at the
@@ -644,9 +631,9 @@ def sweep_broadcasts(
         ccount = chan_count[w]
         if ccount.any():
             crow = np.repeat(rows_idx, ccount)
-            cpos = _csr_offsets(ccount)
+            cpos = csr_offsets(ccount)
             occ.append((
-                chan_gkey[_csr_gather(chan_start[w], ccount)],
+                chan_gkey[csr_gather(chan_start[w], ccount)],
                 times[crow, cpos],
                 completed[crow],
                 w[crow],

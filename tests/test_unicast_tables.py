@@ -1,9 +1,11 @@
 """Tests for the unicast-table path of RD and EDN.
 
 RD and EDN emit each step's sends once, as integer ``(sender,
-receiver)`` pairs.  The batch engine plans straight from that table
-(:func:`repro.sim.batch.plan_unicasts`) and ``schedule()`` materialises
-the same table into ``PathSend`` objects.  These tests hold both ends:
+receiver)`` pairs.  The batch engine plans straight from the walk table
+routed from those pairs (:func:`repro.core.base.unicast_walk_table`,
+then :func:`repro.sim.batch.plan_walks`) and ``schedule()``
+materialises the same table into ``PathSend`` objects.  These tests
+hold both ends:
 
 * the plan equals ``plan_broadcast(algorithm.schedule(s))`` — the
   object path, which stays the oracle — field for field, dtypes
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core import ExtendedDominatingNodes, RecursiveDoubling
+from repro.core.base import unicast_walk_table
 from repro.core.batch_broadcast import run_batch_broadcasts
 from repro.core.registry import get_algorithm
 from repro.core.schedule import BroadcastSchedule, BroadcastStep, PathSend
@@ -30,7 +33,14 @@ from repro.network.topology import Mesh
 from repro.obs.simprof import SimProfile
 from repro.routing.dimension_ordered import DimensionOrdered, unicast_walks
 from repro.routing.paths import Path
-from repro.sim.batch import plan_broadcast, plan_unicasts
+from repro.sim.batch import plan_broadcast, plan_walks
+
+
+def plan_unicasts(algorithm, source, dims, table, step_count=None):
+    """Plan a unicast table the way the batch engine does."""
+    return plan_walks(
+        algorithm, source, dims, unicast_walk_table(dims, table), step_count
+    )
 
 
 def every_source(dims):
@@ -231,11 +241,21 @@ def test_sampled_pin_sources_are_the_seeded_draws():
 # ---------------------------------------------------- no object layer
 @pytest.mark.parametrize(
     "name, dims, length",
-    [("RD", (8, 8, 8), 100), ("EDN", (8, 8, 8), 100), ("EDN", (6, 10), 32)],
+    [
+        ("RD", (8, 8, 8), 100),
+        ("EDN", (8, 8, 8), 100),
+        ("EDN", (6, 10), 32),
+        ("DB", (8, 8, 8), 100),
+        ("AB", (8, 8, 8), 100),
+        ("DB", (6, 10), 128),
+        ("AB", (6, 10), 32),
+    ],
 )
 def test_batched_unicast_runs_build_no_path_objects(
     monkeypatch, name, dims, length
 ):
+    # Every algorithm plans from its walk table (RD and EDN from the
+    # unicast table's routes): no source that batches builds objects.
     sources = random_sources(dims, 4, seed=3)
     event = run_single_broadcasts(name, dims, sources, length)
     built = []

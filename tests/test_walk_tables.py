@@ -1,19 +1,36 @@
 """Tests for the walk-table path of DB and AB.
 
 DB and AB emit each step's sends once, as integer walks of row-major
-node indices with a delivery mask.  ``schedule()`` materialises that
-table into ``PathSend`` objects; these tests pin the object schedules
-send for send (sha256 of their flattened sends, computed from the
-constructions that built DB and AB schedules before the table existed).
+node indices with a delivery mask (:class:`repro.core.base.WalkTable`).
+The batch engine plans straight from that table
+(:func:`repro.sim.batch.plan_walks`) and ``schedule()`` materialises the
+same table into ``PathSend`` objects.  These tests hold both ends:
+
+* the plan equals ``plan_broadcast(algorithm.schedule(s))`` — the
+  object path, which stays the oracle — field for field, dtypes
+  included;
+* the object schedules equal, send for send, the ones the constructions
+  built before the table existed (sha256 pins of their flattened sends);
+* the planner declines degenerate tables and raises on malformed ones;
+* a source that falls back builds its object schedule once.
 """
 
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 
+from repro.core import AdaptiveBroadcast
+from repro.core.base import StepWalks, WalkTable
+from repro.core.batch_broadcast import run_batch_broadcasts
 from repro.core.registry import make_algorithm
+from repro.experiments.common import random_sources, run_single_broadcasts
+from repro.network.message import ControlField
 from repro.network.topology import Mesh
+from repro.obs.simprof import SimProfile
+from repro.sim.batch import plan_broadcast, plan_walks
+from test_unicast_tables import assert_plans_equal
 
 
 def every_source(dims):
@@ -161,3 +178,159 @@ def test_schedules_match_the_pinned_constructions(name, max_dest, dims, sources)
     sources = every_source(dims) if sources is None else sources
     expected = SCHEDULE_PINS[name, max_dest, dims]
     assert schedule_digest(name, dims, sources, max_dest) == expected
+
+
+# ------------------------------------------------------------- oracle
+ORACLE_VARIANTS = [("DB", None), ("AB", None), ("AB", 32), ("AB", 16), ("AB", 8)]
+
+
+@pytest.mark.parametrize(
+    "name, max_dest", ORACLE_VARIANTS,
+    ids=[f"{name}-{max_dest}" for name, max_dest in ORACLE_VARIANTS],
+)
+@pytest.mark.parametrize(
+    "dims, sources", PIN_MESHES,
+    ids=["x".join(map(str, dims)) for dims, _ in PIN_MESHES],
+)
+def test_walk_plan_equals_object_plan(name, max_dest, dims, sources):
+    mesh = Mesh(dims)
+    algorithm = make_algorithm(name, mesh, max_dest)
+    routing = algorithm.make_routing(mesh) if algorithm.adaptive else None
+    node_index = {coord: i for i, coord in enumerate(mesh.nodes())}
+    for source in every_source(dims) if sources is None else sources:
+        table = algorithm.walk_table(source)
+        assert table.step_ptr.size - 1 == algorithm.step_count()
+        walk_plan = plan_walks(
+            algorithm.name, source, dims, table, algorithm.step_count()
+        )
+        object_plan = plan_broadcast(
+            algorithm.schedule(source), node_index, mesh.num_nodes, routing
+        )
+        assert object_plan is not None
+        assert_plans_equal(walk_plan, object_plan)
+
+
+def test_adaptive_worms_carry_their_first_hop_choice():
+    # From (1, 1) of 4x4 the step-1 worms head for (0, 0) (west: one
+    # candidate) and (3, 3) (east or north: a choice); pillars and
+    # coverage worms never choose.
+    table = make_algorithm("AB", Mesh((4, 4))).walk_table((1, 1))
+    assert table.routed == (True, False)
+    assert table.first_choice.tolist()[:2] == [False, True]
+    assert not table.first_choice[2:].any()
+    table = make_algorithm("AB", Mesh((4, 4, 4))).walk_table((1, 1, 1))
+    assert table.routed == (True, True, False)
+    assert table.controls == (
+        ControlField.PASS_AND_RECEIVE,
+        ControlField.RECEIVE_AND_REPLICATE,
+        ControlField.PASS_AND_RECEIVE,
+    )
+
+
+@pytest.mark.parametrize("name", ["DB", "AB"])
+@pytest.mark.parametrize("ports", [1, 2, 3])
+@pytest.mark.parametrize(
+    "dims, length", [((4, 4, 8), 100), ((6, 10), 64), ((5, 3, 7), 32)]
+)
+def test_port_overrides_match_the_event_engine(name, ports, dims, length):
+    sources = random_sources(dims, 6, seed=7)
+    event = run_single_broadcasts(
+        name, dims, sources, length, ports_override=ports
+    )
+    batched = run_batch_broadcasts(
+        name, dims, sources, length, ports_override=ports
+    )
+    for b, e in zip(batched, event):
+        assert b == e
+        assert list(b.arrivals.values()) == list(e.arrivals.values())
+
+
+# ------------------------------------------------------ static checks
+def _table(*walks):
+    """One step of pre-routed walks, each ``(nodes, delivered flags)``."""
+    ptr = np.cumsum([0] + [len(nodes) for nodes, _ in walks])
+    return WalkTable.join([
+        StepWalks(
+            ptr.astype(np.int64),
+            np.asarray([n for nodes, _ in walks for n in nodes], dtype=np.int64),
+            np.asarray([d for _, flags in walks for d in flags], dtype=bool),
+            ControlField.PASS_AND_RECEIVE,
+        )
+    ])
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        # Nodes 1 and 2 feed each other; the source never sends.
+        _table(([1, 2, 3], [0, 1, 1]), ([2, 1], [0, 1])),
+        # Node 2 is delivered by both worms.
+        _table(([0, 1, 2], [0, 1, 1]), ([0, 1, 2, 3], [0, 0, 1, 1])),
+        # Launcher 3 is never delivered to.
+        _table(([0, 1], [0, 1]), ([3, 2], [0, 1])),
+        # The source is delivered.
+        _table(([0, 1], [0, 1]), ([1, 0], [0, 1])),
+        # Nothing to send.
+        WalkTable.join([]),
+    ],
+    ids=["source-sends-nothing", "delivered-twice", "unreachable-launcher",
+         "source-delivered", "empty"],
+)
+def test_plan_walks_declines_degenerate_tables(table):
+    assert plan_walks("X", (0,), (4,), table) is None
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (_table(([0, 1, 2, 3, 4], [0, 1, 1, 1, 1])), "mesh"),
+        (_table(([0, 1], [0, 1]), ([1, 2], [0, 0])), "at least one"),
+        (_table(([0, 1], [0, 1]), ([1, 2, 1], [0, 1, 1])), "own source"),
+    ],
+    ids=["off-mesh", "delivers-nowhere", "delivers-to-launcher"],
+)
+def test_plan_walks_rejects_malformed_tables(table, message):
+    with pytest.raises(ValueError, match=message):
+        plan_walks("X", (0,), (4,), table)
+
+
+def test_plan_walks_enforces_the_closed_form_step_count():
+    table = _table(([0, 1, 2, 3], [0, 1, 1, 1]))
+    with pytest.raises(AssertionError, match="closed form"):
+        plan_walks("X", (0,), (4,), table, step_count=2)
+    assert plan_walks("X", (0,), (4,), table, step_count=1) is not None
+
+
+# --------------------------------------------------------- fallback
+@pytest.mark.parametrize(
+    "dims, sources, contended",
+    [
+        ((4, 4), [(0, 0), (1, 1), (0, 3), (0, 0)], [(0, 0), (0, 3)]),
+        ((8, 8), [(3, 4), (0, 7)], [(0, 7)]),
+    ],
+)
+def test_a_contended_ab_source_builds_its_schedule_once(
+    monkeypatch, dims, sources, contended
+):
+    # A west-edge corner source of a 2-D mesh sends its step-1 worm and
+    # its own coverage worm onto one channel, so the sweep hands it
+    # back: only then is its object schedule built, once per distinct
+    # source, and the event engine's outcome is the batched one.
+    event = run_single_broadcasts("AB", dims, sources, 100)
+    calls = []
+    original = AdaptiveBroadcast.build_schedule
+
+    def counted(self, source):
+        calls.append(source)
+        return original(self, source)
+
+    monkeypatch.setattr(AdaptiveBroadcast, "build_schedule", counted)
+    profile = SimProfile()
+    batched = run_batch_broadcasts("AB", dims, sources, 100, profile=profile)
+    assert calls == contended
+    assert profile.batch_sources_fallback == sum(
+        source in contended for source in sources
+    )
+    for b, e in zip(batched, event):
+        assert b == e
+        assert list(b.arrivals.values()) == list(e.arrivals.values())
