@@ -73,6 +73,7 @@ from repro.campaigns.store import (
     CampaignStore,
     TracedStore,
     UnitRecord,
+    land_record,
     make_failure_record,
     make_owner_id,
 )
@@ -402,8 +403,9 @@ def _execute_payload(
     """Worker-process entry point (module-level so it pickles).
 
     The worker refreshes its own unit's lease while executing it (see
-    :func:`lease_heartbeat`); the coordinating pool only claims and
-    releases.  When the campaign is traced the worker spools its
+    :func:`lease_heartbeat`); the coordinating pool claims it, keeps
+    its lease fresh while it waits in the executor's queue, and lands
+    its record.  When the campaign is traced the worker spools its
     ``unit.execute`` spans to its own per-pid file in ``trace_dir``.
     """
     spec = UnitSpec.from_dict(payload)
@@ -415,6 +417,13 @@ def _execute_payload(
         store.set_tracer(tracer)
     with lease_heartbeat(store, spec.unit_hash, owner, ttl_s, tracer=tracer):
         return execute_unit(spec, tracer=tracer).to_dict()
+
+
+def _pool_broke(future: Any) -> bool:
+    """True iff a done future failed because its executor broke."""
+    return not future.cancelled() and isinstance(
+        future.exception(), BrokenProcessPool
+    )
 
 
 def _warm_from_caches(
@@ -562,7 +571,9 @@ def _run_campaign(
     workers:
         Process count; ``1`` runs in-process (no pool, no pickling)
         in declaration order.  With more workers, pending units are
-        dispatched largest-estimated-cost first (:func:`order_units`).
+        dispatched largest-estimated-cost first (:func:`order_units`),
+        and up to ``2 × workers`` claimed units are submitted at once,
+        so a worker never waits on this process to hand it the next.
         Order affects dispatch only — results and row order are
         identical for every worker count.
     store:
@@ -598,8 +609,10 @@ def _run_campaign(
         (same-host crashes are detected immediately).  The process
         executing a unit — pool worker or the serial in-process path —
         heartbeats its lease every TTL/3 for as long as the unit runs
-        (:func:`lease_heartbeat`), so the TTL never needs to exceed a
-        unit's duration: it only bounds how long a *crashed* worker's
+        (:func:`lease_heartbeat`), and the coordinating process
+        refreshes every submitted unit's lease every TTL/6, so the TTL
+        never needs to exceed a unit's duration or its wait in the
+        executor's queue: it only bounds how long a *crashed* worker's
         unit stays blocked.
     poll_interval_s:
         Sleep between re-checks while waiting on units leased by a
@@ -713,14 +726,37 @@ def _run_campaign(
         except Exception:
             pass
 
+    def store_record(record: UnitRecord) -> None:
+        """Store a record and drop our lease on its unit.
+
+        Every record this pool writes under a lease lands here, through
+        :func:`~repro.campaigns.store.land_record`: one transaction on
+        sqlite, append then release elsewhere.  The record is stored
+        before the lease goes, so a racing pool that claims next reads
+        it (an ok result to absorb, or the shared retry ledger).
+        """
+        if not claiming:
+            store.append(record)
+            return
+        try:
+            land_record(store, record, owner)
+        except BaseException:
+            # The store failed mid-landing (e.g. unreachable): don't
+            # strand the lease behind it — the release is best-effort
+            # and the original error surfaces as the CLI's one-line
+            # store error.
+            release_quietly(record.unit_hash)
+            raise
+
     def land(record: UnitRecord, persist: bool) -> None:
         """Adopt a record, and then any sharded parent it completes.
 
-        ``persist`` appends the record to the store and releases its
-        lease; otherwise a peer pool or cache already persisted it.  A
-        merge the record completes lands the same way.  The loop keeps
-        this the one function that lands records: closures that call
-        each other would form a reference cycle holding every record.
+        ``persist`` stores the record and releases its lease
+        (:func:`store_record`); otherwise a peer pool or cache already
+        persisted it.  A merge the record completes lands the same way.
+        The loop keeps this the one function that lands records:
+        closures that call each other would form a reference cycle
+        holding every record.
         """
         while record is not None:
             records[record.unit_hash] = record
@@ -729,17 +765,7 @@ def _run_campaign(
                     "unit.absorbed", cat="campaign", unit=record.unit_hash
                 )
             elif store is not None:
-                try:
-                    store.append(record)
-                    if claiming:
-                        store.release(record.unit_hash, owner)
-                except BaseException:
-                    # Append failed (store unreachable mid-campaign):
-                    # don't strand the lease behind the dead store —
-                    # the release is best-effort and the original
-                    # error surfaces as the CLI's one-line store error.
-                    release_quietly(record.unit_hash)
-                    raise
+                store_record(record)
             record, persist = merged_parent(record.unit_hash)
 
     def quarantine(unit: UnitSpec, record: UnitRecord) -> None:
@@ -785,13 +811,7 @@ def _run_campaign(
         record = make_failure_record(unit, exc, attempts=attempt, owner=owner)
         failures[unit_hash] = record
         if store is not None:
-            try:
-                # Persist the attempt *before* releasing: a racing pool
-                # that claims next reads the ledger and continues the
-                # shared budget instead of restarting its own.
-                store.append(record)
-            finally:
-                release_quietly(unit_hash)
+            store_record(record)
         if max_failures == 0:
             raise exc  # strict fail-fast: pre-failure-domain semantics
         if attempt >= retries + 1:
@@ -929,35 +949,55 @@ def _run_campaign(
         if workers > 1 and len(queue) > 1
         else None
     )
-    active: Dict[Any, UnitSpec] = {}
+    # Submit ahead: the executor holds up to two claimed units per
+    # worker, so a worker that finishes one starts the next at once
+    # instead of idling through this process's land → claim → submit
+    # round trip.  Queued units are not heartbeated by a worker yet, so
+    # this process refreshes their leases every TTL/6.
+    window = 2 * max_active
+    beat_s = lease_ttl_s / 6.0
+    next_beat = time.monotonic() + beat_s
+    active: Dict[Any, UnitSpec] = {}  # future → unit, in submission order
 
     def respawn_pool(lost: List[UnitSpec]) -> None:
-        """Replace a broken executor and charge its in-flight units.
+        """Replace a broken executor and charge the units it was running.
 
         A dead worker (OOM kill, SIGKILL, segfault) breaks the whole
-        ``ProcessPoolExecutor``; every queued-or-running future is
-        lost.  Respawn it and put each lost unit through the normal
-        failure path — the worker-killer is among them, so it burns
-        budget and eventually quarantines instead of crash-looping the
-        pool, while innocents re-run and overwrite their charge.
+        ``ProcessPoolExecutor``; every unfinished future fails with it.
+        The executor starts units in submission order, one per worker,
+        so of ``lost`` (in submission order) only the first
+        ``max_active`` can have started.  Each of those goes through the
+        normal failure path — the worker-killer is among them, so it
+        burns budget and eventually quarantines instead of
+        crash-looping the pool, while innocents re-run and overwrite
+        their charge.  The rest never started and are requeued
+        uncharged.
         """
         nonlocal pool
         active.clear()
         pool.shutdown(wait=False, cancel_futures=True)
         pool = ProcessPoolExecutor(max_workers=max_active)
+        charged, unstarted = lost[:max_active], lost[max_active:]
         tracer.event(
-            "pool.respawn", cat="pool", lost=len(lost), workers=max_active
+            "pool.respawn",
+            cat="pool",
+            lost=len(charged),
+            requeued=len(unstarted),
+            workers=max_active,
         )
         if progress:
             progress(
                 f"campaign {spec.name}: worker pool crashed; respawned"
-                f" {max_active} worker(s), retrying {len(lost)}"
+                f" {max_active} worker(s), retrying {len(charged)}"
                 f" in-flight unit(s)"
             )
+        for unit in reversed(unstarted):
+            release_quietly(unit.unit_hash)
+            queue.appendleft(unit)
         crash = WorkerCrashError(
             "worker process died mid-execute (process pool broken)"
         )
-        for lost_unit in lost:
+        for lost_unit in charged:
             unit_failed(lost_unit, crash)
 
     interrupted = False
@@ -969,7 +1009,7 @@ def _run_campaign(
                 if ready:
                     cooldown[:] = [(t, u) for t, u in cooldown if t > now]
                     queue.extend(ready)
-            while queue and len(active) < max_active:
+            while queue and len(active) < window:
                 unit = queue.popleft()
                 if unit.unit_hash in records or unit.unit_hash in quarantined:
                     continue
@@ -1039,32 +1079,52 @@ def _run_campaign(
                             trace_dir,
                         )
                     except BrokenProcessPool:
-                        # The pool broke between batches; this unit
-                        # never started, so requeue it uncharged.
+                        # The pool broke since the last wait; this unit
+                        # never started, so requeue it uncharged.  The
+                        # wait below settles the units in flight.
                         release_quietly(unit.unit_hash)
                         queue.appendleft(unit)
-                        respawn_pool(list(active.values()))
+                        if active:
+                            break
+                        respawn_pool([])
                         continue
                     active[future] = unit
             if active:
                 done, _ = wait(
                     active,
-                    timeout=max(lease_ttl_s / 6.0, poll_interval_s),
+                    timeout=max(next_beat - time.monotonic(), 0.0),
                     return_when=FIRST_COMPLETED,
                 )
-                for future in done:
-                    unit = active.pop(future)
+                submitted = list(active)
+                if any(_pool_broke(future) for future in done):
+                    # Every unfinished future fails with a broken
+                    # executor; settle them all before charging any.
+                    done, _ = wait(active)
+                lost = []
+                for future in submitted:
+                    if future not in done:
+                        continue
                     try:
                         record = UnitRecord.from_dict(future.result())
                     except BrokenProcessPool:
-                        # Everything still in `active` died with the
-                        # executor; respawn charges them all.
-                        respawn_pool([unit] + list(active.values()))
-                        break
-                    except Exception as exc:
-                        unit_failed(unit, exc)
+                        # Stays in `active`, so its lease is released
+                        # if landing a sibling raises before the respawn.
+                        lost.append(active[future])
                         continue
+                    except Exception as exc:
+                        unit_failed(active.pop(future), exc)
+                        continue
+                    del active[future]
                     land(record, persist=True)
+                if lost:
+                    respawn_pool(lost)
+                if time.monotonic() >= next_beat:
+                    if claiming:
+                        for unit in active.values():
+                            store.try_claim(
+                                unit.unit_hash, owner, ttl_s=lease_ttl_s
+                            )
+                    next_beat = time.monotonic() + beat_s
                 continue
             if deferred:
                 # Every remaining unit is leased elsewhere: wait for

@@ -68,6 +68,7 @@ __all__ = [
     "TracedStore",
     "open_store",
     "default_store_path",
+    "land_record",
     "make_failure_record",
     "make_owner_id",
 ]
@@ -282,10 +283,13 @@ class CampaignStore(abc.ABC):
 
     1. a pool calls :meth:`try_claim` with its owner token before
        executing a unit; ``False`` means another live pool holds it;
-    2. the executing pool calls :meth:`append` and then
-       :meth:`release` when the unit completes;
+    2. the executing pool lands the finished unit with
+       :meth:`append_and_release`: the record is stored *before* (or
+       in the same transaction as) the lease is dropped, so no moment
+       exists in which the unit is neither leased nor recorded;
     3. a lease older than its TTL is *stale* (the claimant crashed)
-       and :meth:`try_claim` may steal it.
+       and :meth:`try_claim` may steal it, so the pool re-claims
+       (refreshes) every lease it holds while the unit waits or runs.
 
     Claiming is advisory for correctness of results (units are pure,
     so a double execution wastes time but cannot change a row) and
@@ -370,9 +374,34 @@ class CampaignStore(abc.ABC):
         lease intact — only the pair (unit, owner) is ever dropped.
         """
 
+    def append_and_release(self, record: UnitRecord, owner: str) -> None:
+        """Land a finished unit: store ``record``, then drop ``owner``'s
+        lease on it.
+
+        The same guarantees as :meth:`append` followed by
+        :meth:`release`, which is what this base implementation does: a
+        non-owner's call stores the record and leaves the holder's
+        lease intact, and a retry after success is a no-op.  A backend
+        that can do both in one transaction overrides it (``sqlite``).
+        """
+        self.append(record)
+        self.release(record.unit_hash, owner)
+
     def leased_hashes(self) -> Set[str]:
         """Hashes currently under a live (unexpired) lease."""
         return set()
+
+
+def land_record(store: Any, record: UnitRecord, owner: str) -> None:
+    """``store.append_and_release(record, owner)``, or append then
+    release for a duck-typed store object that lacks the method (a
+    wrapper written against the older contract)."""
+    land = getattr(store, "append_and_release", None)
+    if land is None:
+        store.append(record)
+        store.release(record.unit_hash, owner)
+    else:
+        land(record, owner)
 
 
 class JsonlStore(CampaignStore):
@@ -707,20 +736,34 @@ class SqliteStore(CampaignStore):
             status=row[5],
         )
 
+    @staticmethod
+    def _insert(con: sqlite3.Connection, record: UnitRecord) -> None:
+        con.execute(
+            "INSERT OR REPLACE INTO records"
+            " (unit_hash, experiment, spec, result, elapsed_s, status)"
+            " VALUES (?, ?, ?, ?, ?, ?)",
+            (
+                record.unit_hash,
+                record.experiment,
+                json.dumps(record.spec, sort_keys=True),
+                json.dumps(record.result, sort_keys=True),
+                record.elapsed_s,
+                record.status,
+            ),
+        )
+
     def append(self, record: UnitRecord) -> None:
         with self._connect() as con:
+            self._insert(con, record)
+
+    def append_and_release(self, record: UnitRecord, owner: str) -> None:
+        """Insert the record and delete the owner's lease row in one
+        transaction: one commit per landed unit instead of two."""
+        with self._connect() as con:
+            self._insert(con, record)
             con.execute(
-                "INSERT OR REPLACE INTO records"
-                " (unit_hash, experiment, spec, result, elapsed_s, status)"
-                " VALUES (?, ?, ?, ?, ?, ?)",
-                (
-                    record.unit_hash,
-                    record.experiment,
-                    json.dumps(record.spec, sort_keys=True),
-                    json.dumps(record.result, sort_keys=True),
-                    record.elapsed_s,
-                    record.status,
-                ),
+                "DELETE FROM leases WHERE unit_hash = ? AND owner = ?",
+                (record.unit_hash, owner),
             )
 
     def try_claim(
@@ -1048,6 +1091,15 @@ class TracedStore(CampaignStore):
             unit=unit_hash,
         ):
             self.inner.release(unit_hash, owner)
+
+    def append_and_release(self, record: UnitRecord, owner: str) -> None:
+        with self.tracer.span(
+            "store.append_and_release",
+            cat="store",
+            backend=self.inner.backend,
+            unit=record.unit_hash,
+        ):
+            land_record(self.inner, record, owner)
 
     def leased_hashes(self) -> Set[str]:
         with self.tracer.span(

@@ -21,7 +21,11 @@ The contract being pinned down:
   idempotent for the owning caller and never drops a peer's later
   lease, re-claiming one's own lease is a granted refresh.
 * append-then-release ordering: once a unit's hash is claimable again,
-  either its record is visible or the unit never ran.
+  either its record is visible or the unit never ran.  The landing
+  operation ``append_and_release`` keeps the same guarantees: a second
+  handle sees the record and no lease, a non-owner's call stores the
+  record and leaves the holder's lease alone, and a retry after
+  success is a no-op.
 * parent merges are idempotent across handles: the second pool to
   observe a completed parent adopts the stored record instead of
   appending a duplicate.
@@ -292,6 +296,56 @@ class StoreContract:
         assert b.try_claim("e" * 16, "pool-b", ttl_s=30)
         assert b.get("e" * 16) == _record("e" * 16, 7.0)
         b.release("e" * 16, "pool-b")
+
+    def test_append_and_release_then_claim_visibility(self, store_factory):
+        # The same hand-off as above, landed through the one operation.
+        a, b = store_factory(), store_factory()
+        assert a.try_claim("e" * 16, "pool-a", ttl_s=30)
+        a.append_and_release(_record("e" * 16, 7.0), "pool-a")
+        assert b.try_claim("e" * 16, "pool-b", ttl_s=30)
+        assert b.get("e" * 16) == _record("e" * 16, 7.0)
+        b.release("e" * 16, "pool-b")
+
+    # ------------------------------------------------ append_and_release
+    def test_append_and_release_seen_by_second_handle(self, store_factory):
+        writer, reader = store_factory(), store_factory()
+        assert writer.try_claim("j" * 16, "alice", ttl_s=30)
+        writer.append_and_release(_record("j" * 16, 5.0), "alice")
+        assert reader.get("j" * 16) == _record("j" * 16, 5.0)
+        assert reader.completed_hashes() == {"j" * 16}
+        assert reader.leased_hashes() == set()
+
+    def test_append_and_release_by_non_owner_keeps_peer_lease(
+        self, store_factory
+    ):
+        alice, bob = store_factory(), store_factory()
+        assert alice.try_claim("k" * 16, "alice", ttl_s=30)
+        bob.append_and_release(_record("k" * 16, 6.0), "bob")
+        assert alice.get("k" * 16) == _record("k" * 16, 6.0)
+        if not alice.supports_leases:
+            return
+        assert alice.leased_hashes() == {"k" * 16}
+        assert not bob.try_claim("k" * 16, "bob", ttl_s=30)
+        assert alice.try_claim("k" * 16, "alice", ttl_s=30)
+
+    def test_append_and_release_retry_is_noop(self, store_factory):
+        # The first call landed but its acknowledgement was lost; the
+        # retry, arriving after a peer claimed the unit, must neither
+        # duplicate the record nor drop the peer's lease.
+        alice, bob = store_factory(), store_factory()
+        rec = _record("l" * 16, 8.0)
+        assert alice.try_claim("l" * 16, "alice", ttl_s=30)
+        alice.append_and_release(rec, "alice")
+        alice.append_and_release(rec, "alice")  # the ambiguous retry
+        assert alice.records() == {"l" * 16: rec}
+        assert alice.leased_hashes() == set()
+        if not alice.supports_leases:
+            return
+        assert bob.try_claim("l" * 16, "bob", ttl_s=30)
+        alice.append_and_release(rec, "alice")  # a late retry
+        assert bob.records() == {"l" * 16: rec}
+        assert bob.leased_hashes() == {"l" * 16}
+        assert not alice.try_claim("l" * 16, "alice", ttl_s=30)
 
     def test_idempotent_parent_merge_across_handles(self, store_factory):
         # Two pools sharing the backend both finish a sharded parent;

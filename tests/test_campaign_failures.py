@@ -11,7 +11,11 @@ Covers the fault-isolation contract of ``run_campaign``:
   respawns it, requeues the in-flight units (charging one attempt), and
   the finished campaign is byte-identical to a fault-free serial run;
 * a unit that always kills its worker exhausts its budget through
-  ``WorkerCrashError`` charges and quarantines;
+  ``WorkerCrashError`` charges and quarantines, and with units queued
+  ahead in the executor each crash charges at most one unit per
+  worker (the rest never started and are requeued uncharged);
+* units submitted ahead keep their leases while they wait in the
+  executor's queue, so a racing pool never steals and re-runs them;
 * ``max_failures=0`` is strict fail-fast (the original exception
   propagates); ``max_failures=N`` aborts with ``TooManyFailuresError``
   once more than N units are quarantined;
@@ -49,7 +53,7 @@ from repro.campaigns import (
 from repro.campaigns.pool import register_unit_runner
 from repro.cli import main
 from repro.experiments.runner import campaign_for, run_experiment
-from repro.obs.trace import read_trace_dir, summarize_trace
+from repro.obs.trace import read_trace_dir, read_trace_file, summarize_trace
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -86,6 +90,15 @@ def _run_kill_worker_once(spec):
 @register_unit_runner("kill-worker-always")
 def _run_kill_worker_always(spec):
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+@register_unit_runner("logged-sleep")
+def _run_logged_sleep(spec):
+    """Log the attempt, then sleep ``sleep_s`` (0 by default)."""
+    with open(spec.param("log"), "a", encoding="utf-8") as handle:
+        handle.write(spec.unit_hash + "\n")
+    time.sleep(float(spec.param("sleep_s", 0.0)))
+    return {"value": spec.replication}
 
 
 @register_unit_runner("sigterm-self")
@@ -261,6 +274,122 @@ def test_unit_that_always_kills_its_worker_is_quarantined(tmp_path):
     assert killer.result["error"] == "WorkerCrashError"
     assert killer.attempts == 4  # every crash charged one attempt
     assert sum(1 for r in records if r.ok) == 6
+
+
+def test_pool_crash_charges_at_most_one_unit_per_worker(tmp_path):
+    # The pool keeps 2 × workers units submitted, so a crash fails
+    # futures that never started; only the oldest `workers` of them
+    # can have been running, and only those may be charged.
+    workers, retries = 2, 3
+    units = [_unit("kill-worker-always", 0)]
+    units += [_unit("ok-unit", 1 + i) for i in range(5 * workers)]
+    spec = CampaignSpec(name="killer-window", seed=0, units=tuple(units))
+    trace_dir = tmp_path / "spool"
+
+    records = run_campaign(
+        spec,
+        workers=workers,
+        store=open_store(tmp_path / "killer.sqlite", "sqlite"),
+        retries=retries,
+        retry_backoff_s=0.01,
+        trace_dir=trace_dir,
+    )
+    killer = records[0]
+    assert killer.failed
+    assert killer.result["error"] == "WorkerCrashError"
+    assert killer.attempts == retries + 1
+    assert all(r.ok for r in records[1:])
+
+    # The pool's own spool, in write order: each respawn event is
+    # followed by the unit.error charges it made.
+    (pool_spool,) = trace_dir.glob("pool-*.jsonl")
+    charges = []
+    for record in read_trace_file(pool_spool):
+        if record.get("type") != "event":
+            continue
+        if record["name"] == "pool.respawn":
+            charges.append(0)
+        elif record["name"] == "unit.error":
+            assert record["args"]["error"].startswith("WorkerCrashError")
+            charges[-1] += 1
+    assert len(charges) == retries + 1  # every killer attempt crashed
+    assert all(1 <= charged <= workers for charged in charges), charges
+
+
+#: Run by the lease-lapse test in a fresh interpreter: one 2-worker pool
+#: on the campaign below, with a 0.3 s lease TTL.
+_LAPSE_POOL = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_campaign_failures import lapse_campaign
+from repro.campaigns import open_store, run_campaign
+run_campaign(
+    lapse_campaign(sys.argv[2]), workers=2,
+    store=open_store(sys.argv[3], "sqlite"),
+    lease_ttl_s=0.3, poll_interval_s=0.01,
+)
+"""
+
+
+def lapse_campaign(log):
+    """Two ~1 s units declared (so dispatched) ahead of six quick ones."""
+    units = [
+        _unit("logged-sleep", i, log=str(log), sleep_s=1.0) for i in range(2)
+    ]
+    units += [_unit("logged-sleep", 2 + i, log=str(log)) for i in range(6)]
+    return CampaignSpec(name="lapse", seed=0, units=tuple(units))
+
+
+def test_queued_leases_never_lapse_under_a_racing_pool(tmp_path):
+    # Pool A fills its window: both workers sleep ~1 s while two quick
+    # units wait in its executor, ~3 TTLs.  Pool B then races it on the
+    # same store.  Without A refreshing the queued leases they lapse,
+    # and B steals and runs the quick units a second time.
+    log = tmp_path / "attempts.log"
+    log.touch()
+    path = tmp_path / "lapse.sqlite"
+    spec = lapse_campaign(log)
+    observer = open_store(path, "sqlite")
+    observer.records()  # creates the schema before the pools race
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(
+            [str(REPO / "src")]
+            + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        ),
+    )
+    argv = [
+        sys.executable, "-c", _LAPSE_POOL,
+        str(REPO / "tests"), str(log), str(path),
+    ]
+    sleepers = set(spec.unit_hashes()[:2])
+    seen_leased, lapsed = set(), set()
+    pools = [subprocess.Popen(argv, env=env)]
+    try:
+        deadline = time.monotonic() + 60.0
+        while any(p.poll() is None for p in pools):
+            assert time.monotonic() < deadline, "pools did not finish"
+            leased = observer.leased_hashes()
+            landed = observer.records()
+            # Landing stores the record with (or before) dropping the
+            # lease, and `landed` is read after `leased`: a unit seen
+            # leased once must stay leased until its record shows.
+            lapsed.update(seen_leased - leased - set(landed))
+            seen_leased |= leased
+            if len(pools) == 1 and sleepers <= set(log.read_text().split()):
+                pools.append(subprocess.Popen(argv, env=env))
+            time.sleep(0.005)
+    finally:
+        for pool in pools:
+            if pool.poll() is None:
+                pool.kill()
+            pool.wait()
+    assert [pool.returncode for pool in pools] == [0, 0]
+    assert not lapsed
+    attempts = log.read_text().split()
+    assert sorted(attempts) == sorted(spec.unit_hashes())
+    assert observer.completed_hashes() == set(spec.unit_hashes())
+    assert observer.leased_hashes() == set()
 
 
 # ------------------------------------------------------ failure budgets

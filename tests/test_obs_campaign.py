@@ -12,7 +12,12 @@ import pytest
 
 from repro.campaigns import CampaignSpec, run_campaign
 from repro.campaigns.pool import lease_heartbeat
-from repro.campaigns.store import ResultStore, SqliteStore, TracedStore
+from repro.campaigns.store import (
+    ResultStore,
+    SqliteStore,
+    TracedStore,
+    UnitRecord,
+)
 from repro.experiments.common import broadcast_units
 from repro.obs.trace import ListSink, Tracer, read_trace_dir
 from repro.sim.engine import Environment
@@ -116,6 +121,36 @@ def test_traced_store_delegates(tmp_path):
     assert store.records() == {}
     names = {r["name"] for r in sink.records if r.get("type") == "span"}
     assert "store.records" in names
+
+
+class AppendReleaseOnlyStore:
+    """A store wrapper written before ``append_and_release`` existed."""
+
+    backend = "wrapped"
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def append(self, record):
+        self.inner.append(record)
+
+    def release(self, unit_hash, owner):
+        self.inner.release(unit_hash, owner)
+
+
+def test_traced_store_lands_through_a_wrapper_without_the_method(tmp_path):
+    inner = SqliteStore(tmp_path / "s.sqlite")
+    record = UnitRecord(
+        unit_hash="a" * 16, experiment="x", spec={}, result={"v": 1}
+    )
+    assert inner.try_claim(record.unit_hash, "me", ttl_s=30)
+    sink = ListSink()
+    store = TracedStore(AppendReleaseOnlyStore(inner), Tracer(sink, pid=1))
+    store.append_and_release(record, "me")
+    assert inner.get(record.unit_hash) == record
+    assert inner.leased_hashes() == set()
+    names = [r["name"] for r in sink.records if r.get("type") == "span"]
+    assert names == ["store.append_and_release"]
 
 
 # ------------------------------------------------------ heartbeat surfacing

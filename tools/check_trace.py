@@ -21,7 +21,7 @@ schema of :mod:`repro.obs.trace`:
 * every failure-domain event is well-formed: ``unit.error`` names its
   unit, error and attempt number, ``unit.retry`` its unit, attempt and
   backoff, ``unit.quarantine`` its unit and final attempt count, and
-  ``pool.respawn`` how many in-flight units the crashed executor lost;
+  ``pool.respawn`` how many units the crash charged an attempt;
 * an exported Chrome trace (``--chrome``) parses and contains only
   well-formed ``X``/``i``/``M`` events with non-negative durations.
 
