@@ -56,6 +56,7 @@ Example::
 from __future__ import annotations
 
 import functools
+import os
 import threading
 import time
 import warnings
@@ -276,8 +277,6 @@ def execute_unit(
             kind=spec.kind,
             experiment=spec.experiment,
         ):
-            import os
-
             if os.environ.get("REPRO_FAIL_UNITS"):
                 # Deterministic fault injection for failure-path drills;
                 # free when the variable is unset (no import, one getenv).
@@ -299,6 +298,39 @@ def execute_unit(
     )
 
 
+#: Both lease keepers (the pooled loop and :func:`lease_heartbeat`)
+#: refresh every TTL/6, so a lease survives a few failed refreshes.
+_REFRESHES_PER_TTL = 6.0
+
+
+def _refresh_lease(
+    store: CampaignStore, unit_hash: str, owner: str, ttl_s: float, tracer: Any
+) -> None:
+    """Re-claim one held lease; report a failure, never raise it.
+
+    Best-effort by design — a failed refresh only means peers may
+    duplicate (never corrupt) the unit's work, and the TTL still bounds
+    how stale the lease gets — but never *silent*: each failure emits a
+    ``heartbeat.error`` trace event and a :class:`RuntimeWarning`, so a
+    store that keeps rejecting refreshes shows up instead of
+    manifesting as mystery duplicate work minutes later.
+    """
+    try:
+        store.try_claim(unit_hash, owner, ttl_s=ttl_s)
+    except Exception as exc:  # e.g. store unreachable
+        tracer.event(
+            "heartbeat.error", cat="lease", unit=unit_hash, error=repr(exc)
+        )
+        warnings.warn(
+            f"lease heartbeat for unit {unit_hash[:12]} failed"
+            f" ({exc!r}); the lease may expire mid-run and a"
+            f" concurrent pool may duplicate this unit's work",
+            RuntimeWarning,
+        )
+    else:
+        tracer.event("heartbeat.beat", cat="lease", unit=unit_hash)
+
+
 @contextmanager
 def lease_heartbeat(
     store: Optional[CampaignStore],
@@ -307,26 +339,24 @@ def lease_heartbeat(
     ttl_s: float = DEFAULT_LEASE_TTL_S,
     tracer: Any = NULL_TRACER,
 ):
-    """Refresh a unit's lease from the process executing it.
+    """Refresh a unit's lease while the coordinating process runs it.
 
-    A daemon thread re-claims the lease every TTL/3 for as long as the
-    unit runs, so the stale-steal TTL can sit well below the longest
-    unit's duration: a *live* worker keeps its lease fresh forever,
-    while a crashed worker stops heartbeating and loses the unit one
-    TTL later.  Best-effort by design — a failed refresh only means
-    peers may duplicate (never corrupt) the unit's work — but never
-    *silent*: each failure emits a ``heartbeat.error`` trace event and
-    a :class:`RuntimeWarning`, so a store that keeps rejecting
-    refreshes shows up instead of manifesting as mystery duplicate
-    work minutes later.
+    A serial campaign runs each unit in the process that claimed it, so
+    a daemon thread re-claims the lease every TTL/6
+    (:func:`_refresh_lease`) for as long as the unit runs.  A *live*
+    process thus keeps its lease fresh forever, while a crashed one
+    loses the unit one TTL later, so the TTL can sit well below the
+    longest unit's duration.  A pooled campaign needs no thread: its
+    loop refreshes every submitted unit's lease itself.
 
-    One deliberate race: a refresh that is already in flight when the
-    unit finishes can re-create the lease *after* the pool released
-    it, leaving a phantom lease until its TTL expires.  This is
-    harmless by construction — records are appended *before* release,
+    One deliberate race, serial runs only (the pooled loop refreshes
+    and lands from one thread): a refresh already in flight when the
+    unit finishes can re-create the lease *after* the pool released it,
+    leaving a phantom lease until its TTL expires.  This is harmless by
+    construction — records are stored *before* the lease is released,
     so the unit the phantom covers always has a stored record, which
-    status reporting and peer pools check first (they absorb the
-    record on their next poll instead of waiting out the lease).
+    status reporting and peer pools check first (they absorb the record
+    on their next poll instead of waiting out the lease).
 
     No-op for stores without lease support (or no store at all).
     """
@@ -336,26 +366,8 @@ def lease_heartbeat(
     stop = threading.Event()
 
     def beat() -> None:
-        while not stop.wait(ttl_s / 3.0):
-            try:
-                store.try_claim(unit_hash, owner, ttl_s=ttl_s)
-            except Exception as exc:  # e.g. store unreachable
-                # The TTL still bounds how stale the lease can get, but
-                # surface the failure: peers may now duplicate the unit.
-                tracer.event(
-                    "heartbeat.error",
-                    cat="lease",
-                    unit=unit_hash,
-                    error=repr(exc),
-                )
-                warnings.warn(
-                    f"lease heartbeat for unit {unit_hash[:12]} failed"
-                    f" ({exc!r}); the lease may expire mid-run and a"
-                    f" concurrent pool may duplicate this unit's work",
-                    RuntimeWarning,
-                )
-            else:
-                tracer.event("heartbeat.beat", cat="lease", unit=unit_hash)
+        while not stop.wait(ttl_s / _REFRESHES_PER_TTL):
+            _refresh_lease(store, unit_hash, owner, ttl_s, tracer)
 
     thread = threading.Thread(
         target=beat, daemon=True, name=f"lease-heartbeat-{unit_hash[:8]}"
@@ -380,8 +392,6 @@ def _process_tracer(trace_dir: Optional[Union[str, Path]], role: str) -> Any:
     """This process's tracer for a spool dir (``NULL_TRACER`` if none)."""
     if trace_dir is None:
         return NULL_TRACER
-    import os
-
     from repro.obs.trace import JsonlSink, Tracer, worker_trace_path
 
     key = (str(trace_dir), role)
@@ -394,29 +404,24 @@ def _process_tracer(trace_dir: Optional[Union[str, Path]], role: str) -> Any:
 
 
 def _execute_payload(
-    payload: Dict[str, Any],
-    store: Optional[CampaignStore] = None,
-    owner: str = "",
-    ttl_s: float = DEFAULT_LEASE_TTL_S,
-    trace_dir: Optional[str] = None,
+    payload: Dict[str, Any], trace_dir: Optional[str] = None
 ) -> Dict[str, Any]:
     """Worker-process entry point (module-level so it pickles).
 
-    The worker refreshes its own unit's lease while executing it (see
-    :func:`lease_heartbeat`); the coordinating pool claims it, keeps
-    its lease fresh while it waits in the executor's queue, and lands
-    its record.  When the campaign is traced the worker spools its
-    ``unit.execute`` spans to its own per-pid file in ``trace_dir``.
+    Workers run the unit and nothing else: the coordinating pool claims
+    it, keeps its lease fresh while it is queued and while it runs, and
+    lands its record, so no store crosses the process boundary.  When
+    the campaign is traced the worker spools its ``unit.execute`` spans
+    to its own per-pid file in ``trace_dir``.
     """
-    spec = UnitSpec.from_dict(payload)
     tracer = _process_tracer(trace_dir, "worker")
-    if tracer.enabled and store is not None and hasattr(store, "set_tracer"):
-        # Remote stores emit rpc.* events (heartbeat claims, retries)
-        # through whatever tracer their process carries; the pickled
-        # copy arrived bare, so hand it this worker's.
-        store.set_tracer(tracer)
-    with lease_heartbeat(store, spec.unit_hash, owner, ttl_s, tracer=tracer):
-        return execute_unit(spec, tracer=tracer).to_dict()
+    # This worker's previous result has just woken the coordinating
+    # process, which lands it and submits the next unit.  With the
+    # executor's queue kept full, nothing else here blocks, so yield the
+    # CPU to it now rather than be preempted by it mid-unit: the unit's
+    # clock then times the simulation and the landing is not delayed.
+    os.sched_yield()
+    return execute_unit(UnitSpec.from_dict(payload), tracer=tracer).to_dict()
 
 
 def _pool_broke(future: Any) -> bool:
@@ -606,14 +611,13 @@ def _run_campaign(
     lease_ttl_s:
         How long a claimed unit stays reserved; a pool that crashes
         mid-unit blocks that unit from peers for at most this long
-        (same-host crashes are detected immediately).  The process
-        executing a unit — pool worker or the serial in-process path —
-        heartbeats its lease every TTL/3 for as long as the unit runs
-        (:func:`lease_heartbeat`), and the coordinating process
-        refreshes every submitted unit's lease every TTL/6, so the TTL
-        never needs to exceed a unit's duration or its wait in the
-        executor's queue: it only bounds how long a *crashed* worker's
-        unit stays blocked.
+        (same-host crashes are detected immediately).  This process is
+        the one lease keeper: it refreshes the lease of every unit it
+        has submitted to the pool, queued or running, every TTL/6, and
+        of a unit it runs itself on the same period
+        (:func:`lease_heartbeat`).  The TTL so never needs to exceed a
+        unit's duration or its wait in the executor's queue: it only
+        bounds how long a *crashed* pool's unit stays blocked.
     poll_interval_s:
         Sleep between re-checks while waiting on units leased by a
         concurrent pool.
@@ -676,12 +680,10 @@ def _run_campaign(
             for shard in plan:
                 shard_parent[shard.unit_hash] = unit.unit_hash
 
-    # Workers get the raw store (tracers hold file handles and never
-    # pickle); the coordinator's own store ops go through the traced
-    # wrapper so backend latencies land in the trace.  Remote stores
-    # additionally emit their own rpc.* events (calls, retries) through
-    # this pool's tracer.
-    raw_store = store
+    # Every store op of the campaign runs in this process, through the
+    # traced wrapper so backend latencies land in the trace.  Remote
+    # stores additionally emit their own rpc.* events (calls, retries)
+    # through this pool's tracer.
     if tracer.enabled and store is not None:
         if hasattr(store, "set_tracer"):
             store.set_tracer(tracer)
@@ -952,10 +954,10 @@ def _run_campaign(
     # Submit ahead: the executor holds up to two claimed units per
     # worker, so a worker that finishes one starts the next at once
     # instead of idling through this process's land → claim → submit
-    # round trip.  Queued units are not heartbeated by a worker yet, so
-    # this process refreshes their leases every TTL/6.
+    # round trip.  This process refreshes the lease of every submitted
+    # unit, queued or running, every TTL/6; workers never see the store.
     window = 2 * max_active
-    beat_s = lease_ttl_s / 6.0
+    beat_s = lease_ttl_s / _REFRESHES_PER_TTL
     next_beat = time.monotonic() + beat_s
     active: Dict[Any, UnitSpec] = {}  # future → unit, in submission order
 
@@ -1064,19 +1066,9 @@ def _run_campaign(
                         raise
                     land(record, persist=True)
                 else:
-                    # Each worker heartbeats its own lease while the
-                    # unit runs (see lease_heartbeat), so the TTL can
-                    # sit below the longest unit's duration.  Workers
-                    # take the *raw* store — their own tracer (built
-                    # from trace_dir) covers their side.
                     try:
                         future = pool.submit(
-                            _execute_payload,
-                            unit.as_dict(),
-                            raw_store if claiming else None,
-                            owner,
-                            lease_ttl_s,
-                            trace_dir,
+                            _execute_payload, unit.as_dict(), trace_dir
                         )
                     except BrokenProcessPool:
                         # The pool broke since the last wait; this unit
@@ -1121,8 +1113,9 @@ def _run_campaign(
                 if time.monotonic() >= next_beat:
                     if claiming:
                         for unit in active.values():
-                            store.try_claim(
-                                unit.unit_hash, owner, ttl_s=lease_ttl_s
+                            _refresh_lease(
+                                store, unit.unit_hash, owner, lease_ttl_s,
+                                tracer,
                             )
                     next_beat = time.monotonic() + beat_s
                 continue

@@ -76,12 +76,12 @@ __all__ = [
 _REQUIRED_KEYS = ("unit_hash", "experiment", "spec", "result")
 
 #: How long a claimed-but-unfinished unit stays reserved before other
-#: pools may steal it (i.e. how long a crashed worker can block a unit).
-#: Executing processes heartbeat their lease every TTL/3
-#: (:func:`repro.campaigns.pool.lease_heartbeat`), so the TTL may sit
-#: far below the longest unit's duration — it only bounds crash
-#: recovery, not unit length.  Clocks across hosts sharing a store
-#: must agree to well within TTL/3.
+#: pools may steal it (i.e. how long a crashed pool can block a unit).
+#: The coordinating process refreshes every lease it holds every TTL/6
+#: (its pool loop, or :func:`repro.campaigns.pool.lease_heartbeat` for
+#: a unit it runs itself), so the TTL may sit far below the longest
+#: unit's duration — it only bounds crash recovery, not unit length.
+#: Clocks across hosts sharing a store must agree to well within TTL/3.
 DEFAULT_LEASE_TTL_S = 120.0
 
 #: record status values — ``"ok"`` is a completed result, ``"failed"``

@@ -138,8 +138,7 @@ class AdaptiveBroadcast(WalkBroadcast):
 
         A worm with more deliveries is cut into consecutive pieces of at
         most that many, each launched from the same corner along the
-        prefix of the walk that ends at its last delivery
-        (:func:`~repro.routing.cpr.split_deliveries`).
+        prefix of the walk that ends at its last delivery.
         """
         limit = self.max_destinations_per_path
         ptr, node, deliver = walks.ptr, walks.node, walks.deliver

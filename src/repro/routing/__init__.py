@@ -2,8 +2,9 @@
 
 Deterministic dimension-ordered routing (the baseline the paper's RD,
 EDN and DB run on), the west-first turn model (the adaptive scheme AB
-runs on), path objects, coded-path (multidestination) path builders,
-and channel-dependence-graph deadlock analysis.
+runs on), path objects, and channel-dependence-graph deadlock
+analysis.  Coded-path (multidestination) walks are drawn as index
+arrays in :mod:`repro.routing.walks`.
 """
 
 from repro.routing.base import RoutingFunction, RoutingError
@@ -15,13 +16,6 @@ from repro.routing.turn_model import (
     WestFirstPlanar,
 )
 from repro.routing.paths import Path
-from repro.routing.cpr import (
-    column_path,
-    row_path,
-    snake_path,
-    split_deliveries,
-    straight_line_path,
-)
 from repro.routing.deadlock import (
     build_channel_dependence_graph,
     find_dependence_cycle,
@@ -38,11 +32,6 @@ __all__ = [
     "WestFirst",
     "WestFirstPlanar",
     "build_channel_dependence_graph",
-    "column_path",
     "find_dependence_cycle",
     "is_deadlock_free",
-    "row_path",
-    "snake_path",
-    "split_deliveries",
-    "straight_line_path",
 ]

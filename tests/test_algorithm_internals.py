@@ -20,7 +20,6 @@ from repro.core import (
 from repro.core.schedule import BroadcastSchedule, BroadcastStep, PathSend
 from repro.experiments.common import random_sources
 from repro.network import ControlField, Mesh
-from repro.routing.cpr import straight_line_path
 from repro.routing.paths import Path
 
 
@@ -176,12 +175,11 @@ def test_rd_line_sends_shrink_within_dimension():
 
 
 class _TwoStepRD(RecursiveDoubling):
-    """RD as first written: holder by holder, each send's path built twice.
+    """RD as first written: holder by holder, one coordinate path a send.
 
-    ``straight_line_path`` builds a validated path that delivers to
-    every node of the run, which was then re-wrapped to deliver to the
-    partner alone.  The schedule must not depend on which is used, nor
-    on RD now emitting its sends as one integer table per step.
+    Each send is the straight run of nodes from the holder to its
+    partner, delivering to the partner alone.  The schedule must not
+    depend on RD now emitting its sends as one integer table per step.
     """
 
     def build_schedule(self, source):
@@ -212,12 +210,16 @@ class _TwoStepRD(RecursiveDoubling):
         else:
             partner_pos = pos - half
         partner = holder[:axis] + (partner_pos,) + holder[axis + 1 :]
-        path = straight_line_path(holder, axis, partner_pos)
+        step = 1 if partner_pos > pos else -1
+        nodes = [
+            holder[:axis] + (v,) + holder[axis + 1 :]
+            for v in range(pos, partner_pos + step, step)
+        ]
         out[level].append(
             PathSend(
                 source=holder,
                 deliveries=frozenset({partner}),
-                path=Path(path.nodes, deliveries=[partner]),
+                path=Path(nodes, deliveries=[partner]),
                 control=ControlField.RECEIVE,
             )
         )

@@ -16,6 +16,9 @@ Covers the fault-isolation contract of ``run_campaign``:
   worker (the rest never started and are requeued uncharged);
 * units submitted ahead keep their leases while they wait in the
   executor's queue, so a racing pool never steals and re-runs them;
+* pool workers never receive the store (a handle that refuses to
+  pickle still runs a pooled campaign), and a lease refresh that fails
+  is reported, not raised;
 * ``max_failures=0`` is strict fail-fast (the original exception
   propagates); ``max_failures=N`` aborts with ``TooManyFailuresError``
   once more than N units are quarantined;
@@ -51,6 +54,7 @@ from repro.campaigns import (
     run_campaign,
 )
 from repro.campaigns.pool import register_unit_runner
+from repro.campaigns.store import SqliteStore
 from repro.cli import main
 from repro.experiments.runner import campaign_for, run_experiment
 from repro.obs.trace import read_trace_dir, read_trace_file, summarize_trace
@@ -390,6 +394,66 @@ def test_queued_leases_never_lapse_under_a_racing_pool(tmp_path):
     assert sorted(attempts) == sorted(spec.unit_hashes())
     assert observer.completed_hashes() == set(spec.unit_hashes())
     assert observer.leased_hashes() == set()
+
+
+# ------------------------------------------------------ store-free workers
+def test_pooled_workers_never_receive_the_store(tmp_path, monkeypatch):
+    # Every store op of a campaign runs in the coordinating process, so
+    # a store handle that cannot be pickled still runs a pooled campaign.
+    def refuse(self):
+        raise TypeError("store handles must not reach pool workers")
+
+    monkeypatch.setattr(SqliteStore, "__getstate__", refuse)
+    units = tuple(_unit("ok-unit", i) for i in range(6))
+    spec = CampaignSpec(name="storefree", seed=0, units=units)
+    store = open_store(tmp_path / "storefree.sqlite", "sqlite")
+    records = run_campaign(
+        spec, workers=2, store=store, retries=0, retry_backoff_s=0.01
+    )
+    assert [r.status for r in records] == ["ok"] * len(units)
+    assert store.completed_hashes() == set(spec.unit_hashes())
+    assert store.leased_hashes() == set()
+
+
+class RefreshFailingStore(SqliteStore):
+    """A sqlite store whose lease refreshes (repeat claims) all raise."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.claimed = set()
+
+    def try_claim(self, unit_hash, owner, ttl_s):
+        if (unit_hash, owner) in self.claimed:
+            raise OSError("refresh rejected")
+        self.claimed.add((unit_hash, owner))
+        return super().try_claim(unit_hash, owner, ttl_s=ttl_s)
+
+
+def test_failed_pooled_refresh_warns_and_the_campaign_completes(tmp_path):
+    # Refreshing is best-effort: a failed refresh is reported as a
+    # heartbeat.error event and a RuntimeWarning, never raised.
+    log = tmp_path / "attempts.log"
+    units = tuple(
+        _unit("logged-sleep", i, log=str(log), sleep_s=0.3) for i in range(4)
+    )
+    spec = CampaignSpec(name="refresh", seed=0, units=units)
+    trace_dir = tmp_path / "spool"
+    with pytest.warns(RuntimeWarning, match="lease heartbeat .* failed"):
+        records = run_campaign(
+            spec,
+            workers=2,
+            store=RefreshFailingStore(tmp_path / "refresh.sqlite"),
+            lease_ttl_s=0.3,
+            trace_dir=trace_dir,
+        )
+    assert [r.status for r in records] == ["ok"] * len(units)
+    assert sorted(log.read_text().split()) == sorted(spec.unit_hashes())
+    errors = [
+        r for r in read_trace_dir(trace_dir)
+        if r.get("type") == "event" and r["name"] == "heartbeat.error"
+    ]
+    assert errors
+    assert all("refresh rejected" in e["args"]["error"] for e in errors)
 
 
 # ------------------------------------------------------ failure budgets

@@ -201,6 +201,14 @@ def test_summarize_trace_units_and_queueing():
     assert summary["wall_s"] > 0
 
 
+def _load_check_trace():
+    script = Path(__file__).resolve().parent.parent / "tools" / "check_trace.py"
+    module_spec = importlib.util.spec_from_file_location("check_trace", script)
+    check_trace = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(check_trace)
+    return check_trace
+
+
 def _write_spool(path, pid, role, *records):
     lines = [
         {"type": "meta", "schema": TRACE_SCHEMA, "role": role, "pid": pid,
@@ -233,11 +241,37 @@ def test_earliest_claim_wins_across_spool_files(tmp_path):
     summary = summarize_trace(read_trace_dir(tmp_path))
     assert summary["units"]["u1"]["queued_s"] == 1.0
 
-    script = Path(__file__).resolve().parent.parent / "tools" / "check_trace.py"
-    module_spec = importlib.util.spec_from_file_location("check_trace", script)
-    check_trace = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(check_trace)
+    check_trace = _load_check_trace()
     records, problems = check_trace.check_spool(tmp_path)
     structure, counts = check_trace.check_structure(records)
     assert problems == [] and structure == []
     assert counts["claimed"] == 1
+
+
+def test_worker_spool_must_not_touch_the_store(tmp_path):
+    """Pool workers run units only; every store call is the pool's."""
+    campaign = {"type": "span", "name": "campaign", "cat": "campaign",
+                "id": 1, "start_s": 0.0, "end_s": 10.0, "args": {}}
+    claim = {"type": "event", "name": "lease.claim", "cat": "lease",
+             "ts_s": 1.0, "args": {"unit": "u1"}}
+    execute = {"type": "span", "name": "unit.execute", "cat": "unit",
+               "id": 1, "start_s": 2.0, "end_s": 3.0, "args": {"unit": "u1"}}
+    beat = {"type": "event", "name": "heartbeat.beat", "cat": "lease",
+            "ts_s": 2.5, "args": {"unit": "u1"}}
+    get = {"type": "span", "name": "store.get", "cat": "store", "id": 2,
+           "start_s": 2.1, "end_s": 2.2, "args": {"unit": "u1"}}
+    _write_spool(tmp_path / "pool-100.jsonl", 100, "pool", campaign, claim)
+    _write_spool(tmp_path / "worker-200.jsonl", 200, "worker", execute)
+
+    check_trace = _load_check_trace()
+    records, problems = check_trace.check_spool(tmp_path)
+    assert problems == []
+
+    _write_spool(
+        tmp_path / "worker-200.jsonl", 200, "worker", execute, beat, get
+    )
+    records, problems = check_trace.check_spool(tmp_path)
+    assert problems == [
+        "worker-200.jsonl: worker spool holds ['lease', 'store'] records"
+        " (pool workers must not touch the store)"
+    ]

@@ -1,16 +1,11 @@
-"""Unit tests for path objects and CPR path builders."""
+"""Unit tests for path objects, straight walks and CPR control fields."""
 
 import pytest
 
 from repro.network import ControlField, Mesh
-from repro.routing import (
-    Path,
-    column_path,
-    row_path,
-    snake_path,
-    split_deliveries,
-    straight_line_path,
-)
+from repro.network.coordinates import row_major_strides
+from repro.routing import Path
+from repro.routing.walks import straight_walks
 
 
 # ---------------------------------------------------------------- Path
@@ -69,88 +64,34 @@ def test_path_is_minimal():
     assert not Path([(0, 0), (0, 1), (1, 1), (1, 0), (2, 0)]).is_minimal(m)
 
 
-# ----------------------------------------------------------- straight lines
-def test_straight_line_forward_and_backward():
-    p = straight_line_path((0, 2), axis=1, end_value=0)
-    assert p.nodes == ((0, 2), (0, 1), (0, 0))
-    assert p.deliveries == frozenset({(0, 1), (0, 0)})
+# ----------------------------------------------------------- straight walks
+def walk_coordinates(mesh, ptr, node):
+    return [
+        tuple(mesh.coordinate(int(i)) for i in node[lo:hi])
+        for lo, hi in zip(ptr[:-1], ptr[1:])
+    ]
 
 
-def test_straight_line_zero_span_rejected():
-    with pytest.raises(ValueError):
-        straight_line_path((0, 2), axis=1, end_value=2)
-
-
-def test_straight_line_bad_axis():
-    with pytest.raises(ValueError):
-        straight_line_path((0, 2), axis=5, end_value=0)
-
-
-def test_row_and_column_paths():
-    assert row_path((0, 3), 2).nodes == ((0, 3), (1, 3), (2, 3))
-    assert column_path((3, 0), 2).nodes == ((3, 0), (3, 1), (3, 2))
-
-
-# ---------------------------------------------------------------- snakes
-def test_snake_covers_rectangle_once():
-    p = snake_path((0, 0), xs=[0, 1, 2], ys=[0, 1, 2, 3])
+def test_straight_walks_forward_and_backward():
     m = Mesh((4, 4))
-    p.validate(m)
-    assert len(p.nodes) == 12
-    assert len(set(p.nodes)) == 12
-    assert p.deliveries == frozenset(p.nodes[1:])
+    _, sy = row_major_strides(m.dims)
+    ptr, node = straight_walks(
+        [m.index((0, 2)), m.index((0, 0))], [-sy, sy], [2, 3]
+    )
+    assert walk_coordinates(m, ptr, node) == [
+        ((0, 2), (0, 1), (0, 0)),
+        ((0, 0), (0, 1), (0, 2), (0, 3)),
+    ]
 
 
-def test_snake_alternates_direction():
-    p = snake_path((0, 0), xs=[0, 1], ys=[0, 1])
-    assert p.nodes == ((0, 0), (0, 1), (1, 1), (1, 0))
-
-
-def test_snake_start_must_match():
-    with pytest.raises(ValueError):
-        snake_path((5, 5), xs=[0, 1], ys=[0, 1])
-
-
-def test_snake_rejects_non_adjacent_steps():
-    with pytest.raises(ValueError):
-        snake_path((0, 0), xs=[0, 2], ys=[0, 1])
-
-
-def test_snake_3d_keeps_tail_coordinates():
-    p = snake_path((0, 0, 5), xs=[0, 1], ys=[0, 1])
-    assert all(n[2] == 5 for n in p.nodes)
-
-
-# ---------------------------------------------------------- split_deliveries
-def test_split_deliveries_noop_when_small():
-    p = straight_line_path((0, 0), axis=0, end_value=3)
-    assert split_deliveries(p, 10) == [p]
-
-
-def test_split_deliveries_partitions_targets():
-    p = straight_line_path((0, 0), axis=0, end_value=7)  # 7 deliveries
-    pieces = split_deliveries(p, 3)
-    assert len(pieces) == 3
-    got = set()
-    for piece in pieces:
-        assert piece.source == (0, 0)
-        assert len(piece.deliveries) <= 3
-        assert not (piece.deliveries & got)
-        got |= piece.deliveries
-    assert got == p.deliveries
-
-
-def test_split_deliveries_pieces_are_prefixes():
-    p = straight_line_path((0, 0), axis=0, end_value=7)
-    pieces = split_deliveries(p, 3)
-    for piece in pieces:
-        assert piece.nodes == p.nodes[: len(piece.nodes)]
-
-
-def test_split_deliveries_invalid_bound():
-    p = straight_line_path((0, 0), axis=0, end_value=3)
-    with pytest.raises(ValueError):
-        split_deliveries(p, 0)
+def test_straight_walks_along_rows_and_columns():
+    m = Mesh((4, 4))
+    sx, sy = row_major_strides(m.dims)
+    ptr, node = straight_walks([m.index((0, 3)), m.index((3, 0))], [sx, sy], 2)
+    assert walk_coordinates(m, ptr, node) == [
+        ((0, 3), (1, 3), (2, 3)),
+        ((3, 0), (3, 1), (3, 2)),
+    ]
 
 
 # ---------------------------------------------------------- control fields

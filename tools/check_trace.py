@@ -7,6 +7,9 @@ schema of :mod:`repro.obs.trace`:
 
 * every ``*.jsonl`` spool file opens with a ``meta`` record carrying
   the current ``TRACE_SCHEMA`` and a consistent pid;
+* pool workers never touch the store: no spool whose ``meta`` role is
+  ``worker`` holds a ``lease``-, ``store``- or ``rpc``-category record
+  (the coordinating process makes every store call of a campaign);
 * every span is well-formed (required fields, ``end_s >= start_s``)
   and every event carries a timestamp;
 * there is at least one ``campaign`` span, and every ``unit.execute``
@@ -50,6 +53,9 @@ from repro.obs.trace import TRACE_SCHEMA, read_trace_file  # noqa: E402
 SPAN_FIELDS = ("name", "cat", "id", "pid", "tid", "start_s", "end_s", "args")
 EVENT_FIELDS = ("name", "cat", "pid", "tid", "ts_s", "args")
 
+#: Record categories only the coordinating process may produce.
+STORE_CATEGORIES = ("lease", "store", "rpc")
+
 #: Slack (seconds) allowed when comparing timestamps across processes.
 #: The clocks share one monotonic origin; this only absorbs float
 #: rounding, not genuine skew.
@@ -80,6 +86,20 @@ def check_spool(trace_dir: Path):
         pids = {r.get("pid") for r in file_records if "pid" in r}
         if len(pids) > 1:
             problems.append(f"{path.name}: mixed pids {sorted(pids)}")
+        if any(meta.get("role") == "worker" for meta in metas):
+            touched = sorted(
+                {
+                    r["cat"]
+                    for r in file_records
+                    if r.get("type") != "meta"
+                    and r.get("cat") in STORE_CATEGORIES
+                }
+            )
+            if touched:
+                problems.append(
+                    f"{path.name}: worker spool holds {touched} records"
+                    " (pool workers must not touch the store)"
+                )
         for record in file_records:
             kind = record.get("type")
             if kind == "span":
